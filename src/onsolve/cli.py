@@ -30,6 +30,7 @@ from .oracle import brute_consistency
 from .parsing import ExpressionSyntaxError, parse_element
 from .solver import (
     Assignment,
+    EliminationTrace,
     consecutive_split,
     eliminate_blocks,
     extract_solution,
@@ -261,13 +262,13 @@ def parse_model(text: str, problem: ProblemFile) -> Assignment:
 # Subcommands
 
 
-def _solve_problem(problem: ProblemFile, args) -> tuple[bool, Assignment | None, str]:
+def _solve_problem(problem: ProblemFile,
+                   args) -> tuple[EliminationTrace, Assignment | None]:
     split = problem.split
     if split is None:
         split = consecutive_split(problem.n, args.block_size)
     trace = eliminate_blocks(problem.function, split, phi_policy=args.phi_policy)
-    model = extract_solution(trace) if trace.consistent else None
-    return trace.consistent, model, render_trace(trace, problem.var_names)
+    return trace, extract_solution(trace) if trace.consistent else None
 
 
 def cmd_solve(args) -> int:
@@ -281,14 +282,14 @@ def cmd_solve(args) -> int:
             return 0
         print(f"model fails: f = {value}")
         return 1
-    consistent, model, report = _solve_problem(problem, args)
-    print("CONSISTENT" if consistent else "INCONSISTENT")
+    trace, model = _solve_problem(problem, args)
+    print("CONSISTENT" if trace.consistent else "INCONSISTENT")
     if model is not None:
         text = format_model(model, problem.var_names)
         print(f"model: {text}" if text else "model:")
     if args.trace:
-        print(report)
-    return 0 if consistent else 1
+        print(render_trace(trace, problem.var_names))
+    return 0 if trace.consistent else 1
 
 
 def cmd_check_on(args) -> int:
@@ -358,16 +359,16 @@ def cmd_verify(args) -> int:
         return 2
     agree = 0
     for name, problem in jobs:
-        consistent, model, _ = _solve_problem(problem, args)
+        trace, model = _solve_problem(problem, args)
         report = brute_consistency(problem.function)
-        ok = consistent == report.consistent
+        ok = trace.consistent == report.consistent
         if ok and model is not None:
             value = problem.function.evaluate(
                 tuple(model[i] for i in range(problem.n)))
             ok = value.is_zero
         agree += ok
         verdict = "agree" if ok else "DISAGREE"
-        print(f"{name}: solver={'CONSISTENT' if consistent else 'INCONSISTENT'}"
+        print(f"{name}: solver={'CONSISTENT' if trace.consistent else 'INCONSISTENT'}"
               f" oracle={'CONSISTENT' if report.consistent else 'INCONSISTENT'}"
               f" {verdict}")
     print(f"agree: {agree}/{len(jobs)}")

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraElement, complement, join_all, meet, meet_all
-from .function import BoolFunction, point_bits
+from .algebra import (Algebra, AlgebraElement, AlgebraMismatchError,
+                      complement, meet, meet_all)
+from .function import BoolFunction, _mask_to_value, _one_value, point_bits
 from .orthonormal import (
     OrthonormalSet,
     is_in_class,
@@ -55,6 +56,34 @@ def eliminate_variable(f: BoolFunction, i: int) -> BoolFunction:
     return f.cofactor(i, 1) * f.cofactor(i, 0)
 
 
+def _linear_on(a: np.ndarray, one, order) -> np.ndarray | None:
+    """ON solution of sum(a_i * z_i) = 0 by one prefix-AND scan in ``order``,
+    or None when prod(a_i) != 0.  Entries are atom masks of a's dtype, and
+    ``one`` is the algebra's 1 as such an entry."""
+    ordered = a[order]
+    prefix = np.bitwise_and.accumulate(ordered)
+    if prefix[-1]:
+        return None
+    before = np.empty_like(ordered)
+    before[0] = one
+    before[1:] = prefix[:-1]
+    beta = np.empty_like(ordered)
+    beta[order] = before & ~ordered
+    return beta
+
+
+def _on_system(beta, reps, width: int) -> list[int]:
+    """Masks of X solving phi_i(X) = beta_i for an ON tuple beta, by the
+    expansion formula with block i's value carried by minterm ``reps(i)``.
+    Only the nonzero entries are visited; over k atoms there are at most k."""
+    values = [0] * width
+    for i in np.flatnonzero(beta):
+        for j, bit in enumerate(point_bits(reps(i), width)):
+            if bit:
+                values[j] |= int(beta[i])
+    return values
+
+
 def solve_linear_on(a, sigma=None) -> tuple[AlgebraElement, ...] | None:
     """ON solution of sum(a_i * z_i) = 0, or None when prod(a_i) != 0.
 
@@ -66,49 +95,24 @@ def solve_linear_on(a, sigma=None) -> tuple[AlgebraElement, ...] | None:
     if n < 1:
         raise ValueError("need at least one coefficient")
     algebra = a[0].algebra
-    if sigma is None:
-        sigma = tuple(range(n))
-    else:
-        sigma = tuple(sigma)
-        if sorted(sigma) != list(range(n)):
-            raise ValueError(f"sigma must be a permutation of 0..{n - 1}")
-    if not meet_all(a, algebra).is_zero:
-        return None
-    z: list[AlgebraElement | None] = [None] * n
-    prefix = algebra.one
-    for i in sigma:
-        z[i] = meet(prefix, complement(a[i]))
-        prefix = meet(prefix, a[i])
-    return tuple(z)
+    if any(x.algebra != algebra for x in a):
+        raise AlgebraMismatchError("coefficients from different algebras")
+    sigma = list(range(n)) if sigma is None else list(sigma)
+    if sorted(sigma) != list(range(n)):
+        raise ValueError(f"sigma must be a permutation of 0..{n - 1}")
+    masks = np.array([x.mask for x in a], dtype=object)
+    beta = _linear_on(masks, algebra.full_mask, sigma)
+    return None if beta is None else tuple(algebra.element(m) for m in beta)
 
 
 def solve_dual_linear_coon(b) -> tuple[AlgebraElement, ...] | None:
     """Co-ON solution of prod(b_i + xi_i) = 1, or None when sum(b_i) != 1.
 
-    xi_1 = b_1', xi_i = b_1 + .. + b_(i-1) + b_i'.
+    xi_1 = b_1', xi_i = b_1 + .. + b_(i-1) + b_i': the complement of the
+    linear ON solution for the complemented coefficients.
     """
-    b = list(b)
-    if not b:
-        raise ValueError("need at least one coefficient")
-    algebra = b[0].algebra
-    if not join_all(b, algebra).is_one:
-        return None
-    out = []
-    prefix = algebra.zero
-    for x in b:
-        out.append(prefix + complement(x))
-        prefix = prefix + x
-    return tuple(out)
-
-
-def _solve_minterm_system(beta, n: int, algebra: Algebra) -> Assignment:
-    """Solution of the system minterm_j(X) = beta_j for an ON tuple beta,
-    by the expansion formula x_i = sum of beta_j over j with x_i positive."""
-    values = {}
-    for i in range(n):
-        values[i] = join_all(
-            (beta[j] for j in range(1 << n) if j >> (n - 1 - i) & 1), algebra)
-    return values
+    z = solve_linear_on([complement(x) for x in b])
+    return None if z is None else tuple(complement(x) for x in z)
 
 
 def solve_minterm_equation(alpha) -> Assignment | None:
@@ -121,26 +125,22 @@ def solve_minterm_equation(alpha) -> Assignment | None:
     total = len(alpha)
     if total == 0 or total & (total - 1):
         raise ValueError("coefficient list length must be a power of two")
-    n = total.bit_length() - 1
-    algebra = alpha[0].algebra
-    if not meet_all(alpha, algebra).is_zero:
+    beta = solve_linear_on(alpha)
+    if beta is None:
         return None
-    beta = []
-    prefix = algebra.one
-    for a in alpha:
-        beta.append(meet(prefix, complement(a)))
-        prefix = meet(prefix, a)
-    return _solve_minterm_system(beta, n, algebra)
+    n = total.bit_length() - 1
+    return solve_on_system(minterm_set(n, alpha[0].algebra, var_cap=n), beta)
 
 
 def is_on_system(items, algebra: Algebra) -> bool:
-    """Pairwise products zero and sum one."""
-    items = list(items)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if not meet(items[i], items[j]).is_zero:
-                return False
-    return join_all(items, algebra).is_one
+    """Pairwise products zero and sum one, in one pass: no item may share
+    an atom with the sum of the items before it."""
+    total = algebra.zero
+    for x in items:
+        if not meet(total, x).is_zero:
+            return False
+        total = total + x
+    return total.is_one
 
 
 def solve_on_system(onset: OrthonormalSet, beta,
@@ -167,10 +167,9 @@ def solve_on_system(onset: OrthonormalSet, beta,
         for i, (k, block) in enumerate(zip(representatives, onset.blocks)):
             if k not in block:
                 raise ValueError(f"representative {k} not in block {i + 1}")
-    full = [algebra.zero] * (1 << onset.n)
-    for k, b in zip(representatives, beta):
-        full[k] = b
-    return _solve_minterm_system(full, onset.n, algebra)
+    values = _on_system([x.mask for x in beta], representatives.__getitem__,
+                        onset.n)
+    return {i: algebra.element(m) for i, m in enumerate(values)}
 
 
 @dataclass(frozen=True)
@@ -241,28 +240,23 @@ def _block_rows(f: BoolFunction, block: tuple[int, ...]) -> np.ndarray:
 
 
 def _stage_expand(f: BoolFunction, block: tuple[int, ...],
-                  phi: OrthonormalSet) -> tuple[list[np.ndarray], np.ndarray]:
-    """Coefficient tables (over the remaining variables) of f's expansion in
-    the ON set on the block, plus the eliminant table (their product)."""
+                  phi: OrthonormalSet) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (order, 2**rest) coefficient table of f's expansion in the
+    ON set on the block, plus the eliminant table (the AND of its rows).
+    Row i is f restricted to the smallest minterm of block i; f is in the
+    class when every minterm's restriction equals its block's row."""
     rows = _block_rows(f, block)
-    coeffs = []
-    for block_indices in phi.blocks:
-        idx = sorted(block_indices)
-        if len(idx) == 1:
-            coeffs.append(rows[idx[0]].copy())
-            continue
-        sub = rows[idx]
-        low = np.bitwise_or.reduce(sub, axis=0)
-        high = np.bitwise_and.reduce(sub, axis=0)
-        if not np.array_equal(low, high):
+    table = rows[[min(b) for b in phi.blocks]]
+    if phi.order < len(rows):
+        block_of = np.empty(len(rows), dtype=np.intp)
+        for i, b in enumerate(phi.blocks):
+            block_of[list(b)] = i
+        if not np.array_equal(table[block_of], rows):
             raise InapplicableClassError(
                 "no coefficient over the remaining variables exists for a "
                 "member of the block ON set; the function is outside the class")
-        coeffs.append(low)
-    eliminant = coeffs[0].copy()
-    for c in coeffs[1:]:
-        eliminant &= c
-    return coeffs, eliminant
+    table.flags.writeable = False
+    return table, np.bitwise_and.reduce(table, axis=0)
 
 
 def _local_onset(policy: str, width: int, algebra: Algebra) -> OrthonormalSet:
@@ -304,8 +298,14 @@ class EliminationStage:
     block: tuple[int, ...]            # original indices eliminated here
     remaining: tuple[int, ...]        # original indices the eliminant ranges over
     phi: OrthonormalSet               # ON set over the block's local variables
-    coeffs: tuple[BoolFunction, ...]  # expansion coefficients over `remaining`
+    table: np.ndarray                 # read-only, row i = coefficient of phi_i
     eliminant: BoolFunction           # product of the coefficients
+
+    @property
+    def coeffs(self) -> tuple[BoolFunction, ...]:
+        """The expansion coefficients over `remaining`, one per table row."""
+        return tuple(BoolFunction(self.eliminant.algebra, len(self.remaining), row)
+                     for row in self.table)
 
 
 @dataclass(frozen=True)
@@ -353,12 +353,10 @@ def eliminate_blocks(f: BoolFunction, split,
     for block in split:
         positions = tuple(remaining.index(i) for i in block)
         phi = _local_onset(phi_policy, len(block), f.algebra)
-        coeff_tables, eliminant_table = _stage_expand(g, positions, phi)
+        table, eliminant_table = _stage_expand(g, positions, phi)
         remaining = [i for i in remaining if i not in block]
-        width = len(remaining)
-        coeffs = tuple(BoolFunction(f.algebra, width, t) for t in coeff_tables)
-        g = BoolFunction(f.algebra, width, eliminant_table)
-        stages.append(EliminationStage(block, tuple(remaining), phi, coeffs, g))
+        g = BoolFunction(f.algebra, len(remaining), eliminant_table)
+        stages.append(EliminationStage(block, tuple(remaining), phi, table, g))
     return EliminationTrace(f.algebra, f.n, split, phi_policy,
                             tuple(stages), g.coeff(0))
 
@@ -366,40 +364,34 @@ def eliminate_blocks(f: BoolFunction, split,
 def extract_solution(trace: EliminationTrace) -> Assignment:
     """Rebuild a solution of f = 0 from a consistent elimination trace.
 
-    Walks the stages backwards; at each one the coefficients are evaluated at
-    the partial assignment and one ON member with vanishing coefficient is
-    asserted equal to 1.  Over the two-element algebra the pivot is the
-    highest-index vanishing block (matching the worked-example convention of
-    preferring the all-positive minterm) and the block's smallest minterm
-    fixes the bits; over larger algebras the stage is solved through the
-    linear ON equation and the induced ON system.
+    Walks the stages backwards.  At each one the constants are the table's
+    coefficients at the partial assignment (one column gather per atom).
+    The linear ON equation over them is solved in reversed member order
+    over the two-element algebra, so the pivot is the highest-index
+    vanishing block, and in member order otherwise; then the ON system
+    phi_i(X) = beta_i, with each block's smallest minterm as representative.
     """
     if not trace.consistent:
         raise InconsistentTraceError(f"final eliminant is {trace.final}, not 0")
     algebra = trace.algebra
-    values: Assignment = {}
+    step = -1 if algebra.is_two_element else 1
+    values: dict[int, int] = {}
     for stage in reversed(trace.stages):
-        point = tuple(values[i] for i in stage.remaining)
-        constants = [c.evaluate(point) for c in stage.coeffs]
-        if algebra.atom_count <= 1:
-            pivot = max(
-                (i for i, a in enumerate(constants) if a.is_zero), default=None)
-            if pivot is None:
-                raise InconsistentTraceError(
-                    "no vanishing coefficient at the partial assignment")
-            rep = min(stage.phi.blocks[pivot])
-            bits = point_bits(rep, len(stage.block))
-            for var, bit in zip(stage.block, bits):
-                values[var] = algebra.one if bit else algebra.zero
-        else:
-            beta = solve_linear_on(constants)
-            if beta is None:
-                raise InconsistentTraceError(
-                    "coefficient product nonzero at the partial assignment")
-            local = solve_on_system(stage.phi, beta)
-            for j, var in enumerate(stage.block):
-                values[var] = local[j]
-    return values
+        constants = np.zeros(stage.phi.order, dtype=stage.table.dtype)
+        for t in range(algebra.atom_count):
+            idx = 0
+            for i in stage.remaining:
+                idx = idx << 1 | (values[i] >> t & 1)
+            constants |= stage.table[:, idx] & _mask_to_value(algebra, 1 << t)
+        order = np.arange(stage.phi.order)[::step]
+        beta = _linear_on(constants, _one_value(algebra), order)
+        if beta is None:
+            raise InconsistentTraceError(
+                "coefficient product nonzero at the partial assignment")
+        blocks = stage.phi.blocks
+        local = _on_system(beta, lambda i: min(blocks[i]), len(stage.block))
+        values.update(zip(stage.block, local))
+    return {i: algebra.element(m) for i, m in values.items()}
 
 
 def render_trace(trace: EliminationTrace,
@@ -420,11 +412,11 @@ def render_trace(trace: EliminationTrace,
              f"{trace.algebra.atom_count}, policy={trace.policy}"]
     for s, stage in enumerate(trace.stages, start=1):
         digest = table_digest(stage.eliminant.table)
-        zero_coeffs = sum(1 for c in stage.coeffs if c.is_zero)
+        zero_coeffs = int(np.count_nonzero(~stage.table.any(axis=1)))
         lines.append(
             f"  stage {s}: eliminate {{{', '.join(name(i) for i in stage.block)}}}"
             f" via ON order {stage.phi.order};"
-            f" coefficients: {len(stage.coeffs)} ({zero_coeffs} zero);"
+            f" coefficients: {stage.phi.order} ({zero_coeffs} zero);"
             f" eliminant over {len(stage.remaining)} vars"
             f" ({1 << len(stage.remaining)} entries, digest {digest})")
     lines.append(f"  final constant: {trace.final}"

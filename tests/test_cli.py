@@ -23,20 +23,48 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# Exact models under the README's back-substitution conventions.  The ladder
+# cases put several minterms in one block, so they go through the class check.
+GOLDEN_MODELS = [
+    (("walkthrough3.txt",), "model: x=0 y=1 z=1"),
+    (("general_b2.txt",), "model: x1=a1"),
+    (("general_b3.txt",), "model: x1=a2 x2=0"),
+    (("general_b3.txt", "--phi-policy", "ladder", "--block-size", "2"),
+     "model: x1=a2 x2=0"),
+    (("implication.txt", "--phi-policy", "ladder", "--block-size", "4"),
+     "model: x=1 y=1 z=1"),
+]
+
+GOLDEN_TRACES = {
+    "walkthrough3.txt": """\
+CONSISTENT
+model: x=0 y=1 z=1
+elimination trace: n=3, algebra=2^1, policy=minterm
+  stage 1: eliminate {y, z} via ON order 4; coefficients: 4 (0 zero); eliminant over 1 vars (2 entries, digest 3f295464)
+  stage 2: eliminate {x} via ON order 2; coefficients: 2 (1 zero); eliminant over 0 vars (1 entries, digest 5ba93c9d)
+  final constant: 0 -> CONSISTENT
+""",
+    "general_b3.txt": """\
+CONSISTENT
+model: x1=a2 x2=0
+elimination trace: n=2, algebra=2^3, policy=minterm
+  stage 1: eliminate {x1, x2} via ON order 4; coefficients: 4 (1 zero); eliminant over 0 vars (1 entries, digest 05fe4057)
+  final constant: 0 -> CONSISTENT
+""",
+}
+
+
 def test_solve_worked_example(capsys):
-    code, out, _ = run(capsys, "solve", str(INSTANCES / "walkthrough3.txt"))
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "CONSISTENT"
-    assert lines[1] == "model: x=0 y=1 z=1"
+    for (name, *flags), model in GOLDEN_MODELS:
+        code, out, _ = run(capsys, "solve", str(INSTANCES / name), *flags)
+        assert code == 0
+        assert out.splitlines() == ["CONSISTENT", model], (name, flags)
 
 
 def test_solve_trace_flag(capsys):
-    code, out, _ = run(capsys, "solve", str(INSTANCES / "walkthrough3.txt"),
-                       "--trace")
-    assert code == 0
-    assert "stage 1: eliminate {y, z}" in out
-    assert "final constant: 0" in out
+    for name, expected in GOLDEN_TRACES.items():
+        code, out, _ = run(capsys, "solve", str(INSTANCES / name), "--trace")
+        assert (code, out) == (0, expected), name
 
 
 def test_solve_unsat_cnf_exit_code(capsys):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from onsolve import (
+    AlgebraMismatchError,
     BoolFunction,
     InapplicableClassError,
     InconsistentTraceError,
@@ -32,6 +33,7 @@ from onsolve import (
     term_to_function,
 )
 from onsolve.algebra import Algebra, join_all, meet, meet_all
+from onsolve.solver import is_on_system
 
 from helpers import (
     B0,
@@ -143,6 +145,22 @@ def test_delta_tuple_is_on():
         assert is_on_tuple(d, B2)
     with pytest.raises(IndexError):
         delta_tuple(B2, 3, 3)
+    # the disjointness check is one pass, not one meet per pair
+    assert is_on_system(delta_tuple(B8, 4096, 7), B8)
+
+
+def test_core_rejects_mixed_algebras():
+    mixed = (B2.one, B3.zero)
+    with pytest.raises(AlgebraMismatchError):
+        is_on_system(mixed, B2)
+    with pytest.raises(AlgebraMismatchError):
+        solve_on_system(minterm_set(1, B2), mixed)
+    with pytest.raises(AlgebraMismatchError):
+        solve_linear_on(mixed)
+    with pytest.raises(AlgebraMismatchError):
+        solve_dual_linear_coon(mixed)
+    with pytest.raises(AlgebraMismatchError):
+        solve_minterm_equation(mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +461,30 @@ def test_eliminate_blocks_scrambled_blocks():
 def test_eliminate_blocks_degenerate_algebra():
     b = Algebra(0)
     f = BoolFunction.constant(b, 2, b.zero)
-    trace = eliminate_blocks(f, [(0, 1)])
-    assert trace.consistent  # 0 = 1 in the one-element algebra
-    model = extract_solution(trace)
-    assert f.evaluate(as_point(model, 2)).is_zero
+    for split in ([(0, 1)], [(0,), (1,)]):
+        trace = eliminate_blocks(f, split)
+        assert trace.consistent  # 0 = 1 in the one-element algebra
+        model = extract_solution(trace)
+        assert model == {0: b.zero, 1: b.zero}
+        assert f.evaluate(as_point(model, 2)).is_zero
+
+
+def test_eliminate_blocks_wide_algebra():
+    # above 64 atoms the tables hold arbitrary-precision masks (object dtype)
+    wide = Algebra(70, atom_cap=70)
+    rng = random.Random(31)
+    solved = 0
+    for _ in range(10):
+        f = rand_function(wide, 3, rng)
+        trace = eliminate_blocks(f, consecutive_split(3, 2))
+        assert trace.stages[0].table.dtype == object
+        assert trace.consistent == meet_all(f.coeffs, wide).is_zero
+        assert "coefficients: 4 (" in render_trace(trace)
+        if trace.consistent:
+            solved += 1
+            model = extract_solution(trace)
+            assert f.evaluate(as_point(model, 3)).is_zero
+    assert solved
 
 
 def test_eliminate_blocks_general_algebra():
