@@ -21,8 +21,8 @@ from .orthonormal import (
     OrthonormalSet,
     OrthonormalityError,
     format_on_set,
+    from_blocks,
     is_in_class,
-    coefficient_interval,
     parse_on_set,
     verify_on,
 )
@@ -31,6 +31,7 @@ from .parsing import ExpressionSyntaxError, parse_element
 from .solver import (
     Assignment,
     EliminationTrace,
+    InapplicableClassError,
     consecutive_split,
     eliminate_blocks,
     extract_solution,
@@ -195,7 +196,7 @@ def parse_problem(path: Path, algebra_override: int | None = None,
                 raise ProblemFormatError(f"bad onset chunk {chunk!r}")
             body = chunk[1:-1]
             blocks.append([int(s) for s in body.split(",") if s])
-        onset = OrthonormalSet(algebra, n, tuple(frozenset(b) for b in blocks))
+        onset = from_blocks(algebra, n, blocks)
     return ProblemFile(algebra, n, var_names, f, split, onset, None)
 
 
@@ -318,17 +319,15 @@ def cmd_expand(args) -> int:
         return 2
     membership = is_in_class(problem.function, onset)
     print(f"in constant class: {'yes' if membership else 'no'}")
-    for i, block in enumerate(onset.blocks):
-        phi = onset.member(i)
-        interval = coefficient_interval(problem.function, phi)
+    for i, (block, interval) in enumerate(zip(onset.blocks, membership.intervals)):
         line = (f"phi_{i + 1} {{{','.join(map(str, sorted(block)))}}}: "
                 f"interval {interval}")
         if membership:
             constant = interval.low if args.policy == "low" else interval.high
             line += f" constant={constant}"
         else:
-            line += (" coefficient="
-                     f"{to_expression(problem.function * phi, problem.var_names)}")
+            coefficient = problem.function * onset.member(i)
+            line += f" coefficient={to_expression(coefficient, problem.var_names)}"
         print(line)
     return 0
 
@@ -357,10 +356,16 @@ def cmd_verify(args) -> int:
     if not jobs:
         print("nothing to verify", file=sys.stderr)
         return 2
-    agree = 0
+    agree = skipped = 0
     for name, problem in jobs:
-        trace, model = _solve_problem(problem, args)
         report = brute_consistency(problem.function)
+        oracle = "CONSISTENT" if report.consistent else "INCONSISTENT"
+        try:
+            trace, model = _solve_problem(problem, args)
+        except InapplicableClassError:
+            skipped += 1
+            print(f"{name}: solver=OUTSIDE-CLASS oracle={oracle} skipped")
+            continue
         ok = trace.consistent == report.consistent
         if ok and model is not None:
             value = problem.function.evaluate(
@@ -369,10 +374,11 @@ def cmd_verify(args) -> int:
         agree += ok
         verdict = "agree" if ok else "DISAGREE"
         print(f"{name}: solver={'CONSISTENT' if trace.consistent else 'INCONSISTENT'}"
-              f" oracle={'CONSISTENT' if report.consistent else 'INCONSISTENT'}"
-              f" {verdict}")
-    print(f"agree: {agree}/{len(jobs)}")
-    return 0 if agree == len(jobs) else 1
+              f" oracle={oracle} {verdict}")
+    checked = len(jobs) - skipped
+    note = f" ({skipped} skipped: outside the class)" if skipped else ""
+    print(f"agree: {agree}/{checked}{note}")
+    return 0 if agree == checked else 1
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +437,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ProblemFormatError, ExpressionSyntaxError, OrthonormalityError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

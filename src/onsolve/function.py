@@ -359,19 +359,6 @@ def minterm_function(algebra: Algebra, n: int, j: int,
     return BoolFunction(algebra, n, table)
 
 
-def indicator(algebra: Algebra, n: int, indices,
-              var_cap: int = DEFAULT_VAR_CAP) -> BoolFunction:
-    """Sum of the minterms with the given indices."""
-    _check_var_cap(n, var_cap)
-    table = np.zeros(1 << n, dtype=_dtype_for(algebra))
-    one = _one_value(algebra)
-    for j in indices:
-        if not 0 <= j < 1 << n:
-            raise IndexError(f"minterm index {j} out of range for n={n}")
-        table[j] = one
-    return BoolFunction(algebra, n, table)
-
-
 def point_bits(j: int, n: int) -> tuple[int, ...]:
     """The 0/1 point A_j as bits, variable x1 first."""
     return tuple(j >> (n - 1 - i) & 1 for i in range(n))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +21,8 @@ from .function import (
     BoolFunction,
     Term,
     _check_var_cap,
-    indicator,
+    _dtype_for,
+    _one_value,
     term_to_function,
 )
 
@@ -52,44 +54,54 @@ class ZeroMemberError(OrthonormalityError):
         self.index = i
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthonormalSet:
-    """ON set in canonical form: a partition of minterm indices into blocks."""
+    """ON set in canonical form: ``labels[j]`` is the block of minterm j.
+    The constructor trusts its labels; ``from_blocks`` validates blocks."""
 
     algebra: Algebra
     n: int
-    blocks: tuple[frozenset[int], ...]
+    labels: np.ndarray
 
     def __post_init__(self) -> None:
-        total = 1 << self.n
-        seen: set[int] = set()
-        for i, block in enumerate(self.blocks):
-            if not block:
-                raise ZeroMemberError(i)
-            for j in block:
-                if not 0 <= j < total:
-                    raise ValueError(f"minterm index {j} out of range for n={self.n}")
-                if j in seen:
-                    raise ValueError(f"minterm index {j} appears in two blocks")
-                seen.add(j)
-        if len(seen) != total:
-            raise NotNormalError()
+        self.labels.flags.writeable = False
+
+    @cached_property
+    def reps(self) -> np.ndarray:
+        """The smallest minterm of each block, in block order."""
+        reps = np.unique(self.labels, return_index=True)[1]
+        reps.flags.writeable = False
+        return reps
+
+    @cached_property
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        """The blocks as sets of minterm indices, in block order."""
+        members = np.argsort(self.labels)
+        cuts = np.cumsum(np.bincount(self.labels))[:-1]
+        return tuple(frozenset(part.tolist()) for part in np.split(members, cuts))
 
     @property
     def order(self) -> int:
-        return len(self.blocks)
+        return len(self.reps)
 
     def member(self, i: int) -> BoolFunction:
-        return indicator(self.algebra, self.n, self.blocks[i], var_cap=self.n)
+        table = np.zeros(1 << self.n, dtype=_dtype_for(self.algebra))
+        table[self.labels == range(self.order)[i]] = _one_value(self.algebra)
+        return BoolFunction(self.algebra, self.n, table)
 
     def members(self) -> tuple[BoolFunction, ...]:
         return tuple(self.member(i) for i in range(self.order))
 
     def block_of(self, j: int) -> int:
-        for i, block in enumerate(self.blocks):
-            if j in block:
-                return i
-        raise IndexError(f"minterm index {j} out of range")
+        if not 0 <= j < len(self.labels):
+            raise IndexError(f"minterm index {j} out of range")
+        return int(self.labels[j])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OrthonormalSet):
+            return NotImplemented
+        return (self.algebra == other.algebra and self.n == other.n
+                and np.array_equal(self.labels, other.labels))
 
     def __repr__(self) -> str:
         blocks = "; ".join(
@@ -99,8 +111,22 @@ class OrthonormalSet:
 
 
 def from_blocks(algebra: Algebra, n: int, blocks) -> OrthonormalSet:
-    """Build an ON set from minterm-index blocks, validating the partition."""
-    return OrthonormalSet(algebra, n, tuple(frozenset(b) for b in blocks))
+    """Build an ON set from minterm-index blocks, validating the partition.
+    The label array is allocated only once the blocks cover every minterm."""
+    total = 1 << n
+    owner: dict[int, int] = {}
+    for i, block in enumerate(map(frozenset, blocks)):
+        if not block:
+            raise ZeroMemberError(i)
+        for j in block:
+            if not 0 <= j < total:
+                raise ValueError(f"minterm index {j} out of range for n={n}")
+            if j in owner:
+                raise ValueError(f"minterm index {j} appears in two blocks")
+            owner[j] = i
+    if len(owner) != total:
+        raise NotNormalError()
+    return OrthonormalSet(algebra, n, np.array([owner[j] for j in range(total)]))
 
 
 def verify_on(functions) -> OrthonormalSet:
@@ -127,18 +153,14 @@ def verify_on(functions) -> OrthonormalSet:
         for j in range(i + 1, len(supports)):
             if supports[i] & supports[j]:
                 raise NotOrthogonalError(i, j)
-    covered = frozenset().union(*supports)
-    if len(covered) != 1 << first.n:
-        raise NotNormalError()
-    return OrthonormalSet(first.algebra, first.n, tuple(supports))
+    return from_blocks(first.algebra, first.n, supports)
 
 
 def minterm_set(n: int, algebra: Algebra,
                 var_cap: int = DEFAULT_VAR_CAP) -> OrthonormalSet:
     """The order-2**n ON set of all minterms, blocks in index order."""
     _check_var_cap(n, var_cap)
-    return OrthonormalSet(algebra, n,
-                          tuple(frozenset((j,)) for j in range(1 << n)))
+    return OrthonormalSet(algebra, n, np.arange(1 << n))
 
 
 def ladder_terms(m: int) -> list[Term]:
@@ -277,7 +299,7 @@ def parse_on_set(text: str, algebra: Algebra) -> OrthonormalSet:
     m, n = int(head[0]), int(head[1])
     if len(records) - 1 != m:
         raise ValueError(f"expected {m} block records, got {len(records) - 1}")
-    blocks: list[frozenset[int]] = [frozenset()] * m
+    blocks: list[list[int]] = [[]] * m
     for record in records[1:]:
         match = _BLOCK_RE.match(record)
         if not match:
@@ -285,7 +307,5 @@ def parse_on_set(text: str, algebra: Algebra) -> OrthonormalSet:
         i = int(match.group(1))
         if not 1 <= i <= m:
             raise ValueError(f"block number M{i} outside 1..{m}")
-        body = match.group(2).strip()
-        indices = [int(s) for s in body.replace(",", " ").split()] if body else []
-        blocks[i - 1] = frozenset(indices)
-    return OrthonormalSet(algebra, n, tuple(blocks))
+        blocks[i - 1] = [int(s) for s in match.group(2).replace(",", " ").split()]
+    return from_blocks(algebra, n, blocks)

@@ -74,11 +74,11 @@ def _linear_on(a: np.ndarray, one, order) -> np.ndarray | None:
 
 def _on_system(beta, reps, width: int) -> list[int]:
     """Masks of X solving phi_i(X) = beta_i for an ON tuple beta, by the
-    expansion formula with block i's value carried by minterm ``reps(i)``.
+    expansion formula with block i's value carried by minterm ``reps[i]``.
     Only the nonzero entries are visited; over k atoms there are at most k."""
     values = [0] * width
     for i in np.flatnonzero(beta):
-        for j, bit in enumerate(point_bits(reps(i), width)):
+        for j, bit in enumerate(point_bits(reps[i], width)):
             if bit:
                 values[j] |= int(beta[i])
     return values
@@ -159,7 +159,7 @@ def solve_on_system(onset: OrthonormalSet, beta,
     if not is_on_system(beta, algebra):
         return None
     if representatives is None:
-        representatives = [min(block) for block in onset.blocks]
+        representatives = onset.reps
     else:
         representatives = list(representatives)
         if len(representatives) != onset.order:
@@ -167,8 +167,7 @@ def solve_on_system(onset: OrthonormalSet, beta,
         for i, (k, block) in enumerate(zip(representatives, onset.blocks)):
             if k not in block:
                 raise ValueError(f"representative {k} not in block {i + 1}")
-    values = _on_system([x.mask for x in beta], representatives.__getitem__,
-                        onset.n)
+    values = _on_system([x.mask for x in beta], representatives, onset.n)
     return {i: algebra.element(m) for i, m in enumerate(values)}
 
 
@@ -246,15 +245,11 @@ def _stage_expand(f: BoolFunction, block: tuple[int, ...],
     Row i is f restricted to the smallest minterm of block i; f is in the
     class when every minterm's restriction equals its block's row."""
     rows = _block_rows(f, block)
-    table = rows[[min(b) for b in phi.blocks]]
-    if phi.order < len(rows):
-        block_of = np.empty(len(rows), dtype=np.intp)
-        for i, b in enumerate(phi.blocks):
-            block_of[list(b)] = i
-        if not np.array_equal(table[block_of], rows):
-            raise InapplicableClassError(
-                "no coefficient over the remaining variables exists for a "
-                "member of the block ON set; the function is outside the class")
+    table = rows[phi.reps]
+    if phi.order < len(rows) and not np.array_equal(table[phi.labels], rows):
+        raise InapplicableClassError(
+            "no coefficient over the remaining variables exists for a "
+            "member of the block ON set; the function is outside the class")
     table.flags.writeable = False
     return table, np.bitwise_and.reduce(table, axis=0)
 
@@ -388,8 +383,7 @@ def extract_solution(trace: EliminationTrace) -> Assignment:
         if beta is None:
             raise InconsistentTraceError(
                 "coefficient product nonzero at the partial assignment")
-        blocks = stage.phi.blocks
-        local = _on_system(beta, lambda i: min(blocks[i]), len(stage.block))
+        local = _on_system(beta, stage.phi.reps, len(stage.block))
         values.update(zip(stage.block, local))
     return {i: algebra.element(m) for i, m in values.items()}
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from onsolve import cli
 from onsolve.cli import (
     ProblemFormatError,
     cnf_function,
@@ -113,30 +114,51 @@ def test_check_model_rejects_wrong_model(capsys, tmp_path):
     assert "model fails" in out
 
 
+THREE_BLOCKS = "ON of order 3\n3 3\nM1={0,5,7}\nM2={1,3,6}\nM3={2,4}\n"
+
+# Exact `check-on` output per file in instances/onsets/, with and without
+# `--algebra 3`.
+GOLDEN_CHECK_ON = {
+    "repeated_member.txt": (
+        1, "not orthonormal: NotOrthogonalError: members 0 and 1 have a "
+           "nonzero product\n"),
+    "three_block_members.txt": (0, THREE_BLOCKS),
+    "three_block_partition.txt": (0, THREE_BLOCKS),
+}
+
+
 def test_check_on_partition_and_expression_forms(capsys):
-    code, out, _ = run(capsys, "--algebra", "3", "check-on",
-                       str(INSTANCES / "onsets" / "three_block_members.txt"))
-    assert code == 0
-    assert "ON of order 3" in out
-    assert "M1={0,5,7}" in out
-    code, out, _ = run(capsys, "check-on",
-                       str(INSTANCES / "onsets" / "three_block_partition.txt"))
-    assert code == 0
-    assert "ON of order 3" in out
+    assert sorted(p.name for p in (INSTANCES / "onsets").iterdir()) == \
+        sorted(GOLDEN_CHECK_ON)
+    for name, expected in GOLDEN_CHECK_ON.items():
+        for flags in ((), ("--algebra", "3")):
+            got = run(capsys, *flags, "check-on",
+                      str(INSTANCES / "onsets" / name))[:2]
+            assert got == expected, (name, flags)
 
 
-def test_check_on_diagnoses_repeats(capsys):
+def test_check_on_diagnoses_repeats(capsys, tmp_path):
     code, out, _ = run(capsys, "check-on",
                        str(INSTANCES / "onsets" / "repeated_member.txt"))
     assert code == 1
     assert "NotOrthogonal" in out
+    # Two blocks cannot cover 2^40 minterms: diagnosed without building a
+    # 2^40-entry table.
+    huge = tmp_path / "huge.txt"
+    huge.write_text("2 40\nM1={0,1}\nM2={2,3}\n")
+    assert run(capsys, "check-on", str(huge))[:2] == (
+        1, "not orthonormal: NotNormalError: members do not sum to the "
+           "constant 1\n")
 
 
 def test_expand_lists_intervals(capsys):
-    code, out, _ = run(capsys, "expand", str(INSTANCES / "onset_embedded.txt"))
-    assert code == 0
-    assert "in constant class: yes" in out
-    assert "phi_1 {0,2}: interval [1, 1] constant=1" in out
+    expected = ("in constant class: yes\n"
+                "phi_1 {0,2}: interval [1, 1] constant=1\n"
+                "phi_2 {1,3}: interval [0, 0] constant=0\n")
+    for policy in ("low", "high"):
+        got = run(capsys, "expand", str(INSTANCES / "onset_embedded.txt"),
+                  "--policy", policy)[:2]
+        assert got == (0, expected), policy
 
 
 def test_expand_outside_class_prints_functions(capsys, tmp_path):
@@ -145,8 +167,9 @@ def test_expand_outside_class_prints_functions(capsys, tmp_path):
         "vars 2\nequation x1*x2 + x1'*x2'\nonset {2,3} {0,1}\n")
     code, out, _ = run(capsys, "expand", str(problem))
     assert code == 0
-    assert "in constant class: no" in out
-    assert "coefficient=" in out
+    assert out == ("in constant class: no\n"
+                   "phi_1 {2,3}: interval [1, 0] coefficient=x1*x2\n"
+                   "phi_2 {0,1}: interval [1, 0] coefficient=x1'*x2'\n")
 
 
 def test_verify_bundled_instances(capsys):
@@ -156,6 +179,27 @@ def test_verify_bundled_instances(capsys):
     code, out, _ = run(capsys, "verify", *files)
     assert code == 0
     assert out.splitlines()[-1] == "agree: 20/20"
+
+
+def test_verify_skips_outside_class(capsys):
+    files = [str(INSTANCES / name) for name in ("xnor_pair.txt", "zero.txt")]
+    code, out, _ = run(capsys, "verify", *files, "--phi-policy", "ladder")
+    assert code == 0
+    assert out.splitlines() == [
+        f"{files[0]}: solver=OUTSIDE-CLASS oracle=CONSISTENT skipped",
+        f"{files[1]}: solver=CONSISTENT oracle=CONSISTENT agree",
+        "agree: 1/1 (1 skipped: outside the class)",
+    ]
+
+
+def test_main_reports_out_of_memory(capsys, monkeypatch):
+    def parse_problem(*args):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setattr(cli, "parse_problem", parse_problem)
+    code, out, err = run(capsys, "solve", "any.txt")
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory: Unable to allocate 8.00 TiB\n"
 
 
 def test_verify_random_mode_is_seeded(capsys):

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from onsolve import (
     NonIndicatorError,
     NotNormalError,
     NotOrthogonalError,
+    OrthonormalSet,
     ZeroMemberError,
     brute_class_membership,
     class_inequality,
@@ -93,6 +95,45 @@ def test_partition_validation():
         from_blocks(B0, 2, [{0, 1}, {3}])
     with pytest.raises(ZeroMemberError):
         from_blocks(B0, 2, [{0, 1, 2, 3}, set()])
+    # checks run block by block: a repeat in block 1 is reported before a
+    # bad index in block 2, and coverage last
+    with pytest.raises(ValueError, match="0 appears in two blocks"):
+        from_blocks(B0, 1, [{0}, {0}, {5}])
+    with pytest.raises(ValueError, match="5 out of range"):
+        from_blocks(B0, 1, [{0}, {5}, {0}])
+    with pytest.raises(ZeroMemberError):
+        from_blocks(B0, 1, [{0}, set(), {0}])
+    with pytest.raises(NotNormalError):
+        from_blocks(B0, 40, [{0, 1}, {2, 3}])
+    swapped = from_blocks(B0, 1, [[1, 1], (0,)])
+    assert swapped == OrthonormalSet(B0, 1, np.array([1, 0]))
+    assert swapped != minterm_set(1, B0)
+    with pytest.raises(TypeError):
+        hash(swapped)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_partition_views_agree(data):
+    rng = random.Random(data.draw(st.integers(0, 2 ** 31)))
+    n = data.draw(st.integers(0, 4))
+    total = 1 << n
+    given_blocks = rand_partition(total, rng.randint(1, total), rng)
+    onset = from_blocks(B2, n, given_blocks)
+    assert [set(b) for b in onset.blocks] == given_blocks
+    assert onset.order == len(given_blocks)
+    for j in range(total):
+        assert onset.labels[j] == onset.block_of(j)
+        assert j in given_blocks[onset.block_of(j)]
+    for i, block in enumerate(onset.blocks):
+        assert onset.reps[i] == min(block)
+        coeffs = [B2.one if j in block else B2.zero for j in range(total)]
+        assert onset.member(i) == BoolFunction.from_coeffs(B2, n, coeffs)
+    for j in (-1, total):
+        with pytest.raises(IndexError):
+            onset.block_of(j)
+    with pytest.raises(ValueError):
+        onset.labels[0] = 0
 
 
 def test_minterm_set_small():
