@@ -13,10 +13,11 @@ import argparse
 import random
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .algebra import Algebra
-from .function import DEFAULT_VAR_CAP, BoolFunction, Term, parse, term_to_function, to_expression
+from .function import DEFAULT_VAR_CAP, BoolFunction, _check_var_cap, parse, to_expression
 from .orthonormal import (
     OrthonormalSet,
     OrthonormalityError,
@@ -32,8 +33,10 @@ from .solver import (
     Assignment,
     EliminationTrace,
     InapplicableClassError,
+    cnf_function,
     consecutive_split,
     eliminate_blocks,
+    eliminate_cnf,
     extract_solution,
     render_trace,
 )
@@ -48,10 +51,17 @@ class ProblemFile:
     algebra: Algebra
     n: int
     var_names: list[str]
-    function: BoolFunction
     split: list[list[int]] | None
     onset: OrthonormalSet | None
     clauses: list[list[int]] | None  # set when the source was DIMACS
+    equation: BoolFunction | None = None  # set otherwise
+
+    @cached_property
+    def function(self) -> BoolFunction:
+        """f; for DIMACS its 2^n table is built on first access."""
+        if self.equation is not None:
+            return self.equation
+        return cnf_function(self.n, self.clauses, self.algebra, var_cap=self.n)
 
 
 def default_var_names(n: int) -> list[str]:
@@ -94,19 +104,6 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
     return n, clauses
 
 
-def cnf_function(n: int, clauses: list[list[int]], algebra: Algebra,
-                 var_cap: int = DEFAULT_VAR_CAP) -> BoolFunction:
-    """f with f = 0 exactly on satisfying assignments: the sum over clauses
-    of the product of the negated literals (clause falsified = product 1)."""
-    f = BoolFunction.constant(algebra, n, algebra.zero, var_cap=var_cap)
-    for clause in clauses:
-        exps = [-1] * n
-        for lit in clause:
-            exps[abs(lit) - 1] = 0 if lit > 0 else 1
-        f = f + term_to_function(Term(tuple(exps)), n, algebra, var_cap=var_cap)
-    return f
-
-
 # ---------------------------------------------------------------------------
 # Problem files
 
@@ -134,8 +131,8 @@ def parse_problem(path: Path, algebra_override: int | None = None,
             raise ProblemFormatError("DIMACS problems live over the two-element algebra")
         algebra = Algebra(1)
         n, clauses = parse_dimacs(text)
-        f = cnf_function(n, clauses, algebra, var_cap=var_cap)
-        return ProblemFile(algebra, n, default_var_names(n), f, None, None, clauses)
+        _check_var_cap(n, var_cap)
+        return ProblemFile(algebra, n, default_var_names(n), None, None, clauses)
 
     k = 1
     var_names: list[str] | None = None
@@ -197,7 +194,7 @@ def parse_problem(path: Path, algebra_override: int | None = None,
             body = chunk[1:-1]
             blocks.append([int(s) for s in body.split(",") if s])
         onset = from_blocks(algebra, n, blocks)
-    return ProblemFile(algebra, n, var_names, f, split, onset, None)
+    return ProblemFile(algebra, n, var_names, split, onset, None, f)
 
 
 def load_on_set(path: Path, algebra: Algebra | None,
@@ -268,7 +265,10 @@ def _solve_problem(problem: ProblemFile,
     split = problem.split
     if split is None:
         split = consecutive_split(problem.n, args.block_size)
-    trace = eliminate_blocks(problem.function, split, phi_policy=args.phi_policy)
+    if problem.clauses is not None and problem.n and args.phi_policy == "minterm":
+        trace = eliminate_cnf(problem.n, problem.clauses, split)
+    else:
+        trace = eliminate_blocks(problem.function, split, phi_policy=args.phi_policy)
     return trace, extract_solution(trace) if trace.consistent else None
 
 
@@ -349,9 +349,9 @@ def cmd_verify(args) -> int:
     for i in range(args.random):
         n = args.random_vars
         clauses = _random_cnf(n, int(4.2 * n), rng)
-        f = cnf_function(n, clauses, algebra, var_cap=args.var_cap)
+        _check_var_cap(n, args.var_cap)
         jobs.append((f"random-{i + 1}",
-                     ProblemFile(algebra, n, default_var_names(n), f,
+                     ProblemFile(algebra, n, default_var_names(n),
                                  None, None, clauses)))
     if not jobs:
         print("nothing to verify", file=sys.stderr)

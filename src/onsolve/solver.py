@@ -19,7 +19,8 @@ import numpy as np
 
 from .algebra import (Algebra, AlgebraElement, AlgebraMismatchError,
                       complement, meet, meet_all)
-from .function import BoolFunction, _mask_to_value, _one_value, point_bits
+from .function import (DEFAULT_VAR_CAP, BoolFunction, _check_var_cap, _dtype_for,
+                       _mask_to_value, _one_value, point_bits)
 from .orthonormal import (
     OrthonormalSet,
     is_in_class,
@@ -30,6 +31,9 @@ from .orthonormal import (
 
 Assignment = dict[int, AlgebraElement]
 """Solution map: 0-based variable index -> element."""
+
+Cube = tuple[tuple[int, int], ...]
+"""(variable, bit) pairs, distinct variables: the points where a clause is false."""
 
 
 class InapplicableClassError(ValueError):
@@ -302,6 +306,44 @@ class EliminationStage:
         return tuple(BoolFunction(self.eliminant.algebra, len(self.remaining), row)
                      for row in self.table)
 
+    @property
+    def zero_coefficients(self) -> int:
+        """How many coefficients vanish identically."""
+        return int(np.count_nonzero(~self.table.any(axis=1)))
+
+    def constants_at(self, values: dict[int, int]) -> np.ndarray:
+        """The coefficients at the point where each remaining variable i
+        takes the atom mask ``values[i]``: one column gather per atom."""
+        algebra = self.eliminant.algebra
+        constants = np.zeros(self.phi.order, dtype=self.table.dtype)
+        for t in range(algebra.atom_count):
+            idx = 0
+            for i in self.remaining:
+                idx = idx << 1 | (values[i] >> t & 1)
+            constants |= self.table[:, idx] & _mask_to_value(algebra, 1 << t)
+        return constants
+
+
+@dataclass(frozen=True)
+class ClauseStage:
+    """Stage 1 of a CNF under the minterm policy, computed from the clauses:
+    it keeps the clause cubes instead of a coefficient table."""
+
+    block: tuple[int, ...]
+    remaining: tuple[int, ...]
+    phi: OrthonormalSet               # the block minterms
+    cubes: tuple[Cube, ...]           # where each clause is false
+    eliminant: BoolFunction
+    zero_coefficients: int            # block points where f vanishes identically
+
+    def constants_at(self, values: dict[int, int]) -> np.ndarray:
+        """f at each block point with the remaining variables at the 0/1
+        ``values``, written from the cubes that point leaves live."""
+        point = {i: values[i] for i in self.remaining}
+        constants = np.zeros(self.phi.order, dtype=bool)
+        _write_cubes(constants, self.block, _restrict(self.cubes, point), True)
+        return constants
+
 
 @dataclass(frozen=True)
 class EliminationTrace:
@@ -311,7 +353,7 @@ class EliminationTrace:
     n: int
     split: tuple[tuple[int, ...], ...]
     policy: str
-    stages: tuple[EliminationStage, ...]
+    stages: tuple[EliminationStage | ClauseStage, ...]
     final: AlgebraElement
 
     @property
@@ -327,6 +369,32 @@ def consecutive_split(n: int, block_size: int) -> list[list[int]]:
             for s in range(0, n, block_size)]
 
 
+def _check_split(n: int, split) -> tuple[tuple[int, ...], ...]:
+    split = tuple(tuple(b) for b in split)
+    flat = [i for b in split for i in b]
+    if sorted(flat) != list(range(n)):
+        raise ValueError("split must partition the variable indices")
+    if any(not b for b in split):
+        raise ValueError("split contains an empty block")
+    return split
+
+
+def _eliminate_stages(g: BoolFunction, remaining, split,
+                      phi_policy: str) -> tuple[list[EliminationStage], BoolFunction]:
+    """The stages eliminating ``split``'s blocks from g, which ranges over
+    the original variables ``remaining`` in order; also the last eliminant."""
+    remaining = list(remaining)
+    stages = []
+    for block in split:
+        positions = tuple(remaining.index(i) for i in block)
+        phi = _local_onset(phi_policy, len(block), g.algebra)
+        table, eliminant_table = _stage_expand(g, positions, phi)
+        remaining = [i for i in remaining if i not in block]
+        g = BoolFunction(g.algebra, len(remaining), eliminant_table)
+        stages.append(EliminationStage(block, tuple(remaining), phi, table, g))
+    return stages, g
+
+
 def eliminate_blocks(f: BoolFunction, split,
                      phi_policy: str = "minterm") -> EliminationTrace:
     """Run block elimination over a split of the variables.
@@ -335,32 +403,116 @@ def eliminate_blocks(f: BoolFunction, split,
     order and must partition 0..n-1.  The equation f = 0 is consistent
     exactly when the trace's final constant is 0.
     """
-    split = tuple(tuple(b) for b in split)
-    flat = [i for b in split for i in b]
-    if sorted(flat) != list(range(f.n)):
-        raise ValueError("split must partition the variable indices")
-    if any(not b for b in split):
-        raise ValueError("split contains an empty block")
-
-    remaining = list(range(f.n))
-    g = f
-    stages = []
-    for block in split:
-        positions = tuple(remaining.index(i) for i in block)
-        phi = _local_onset(phi_policy, len(block), f.algebra)
-        table, eliminant_table = _stage_expand(g, positions, phi)
-        remaining = [i for i in remaining if i not in block]
-        g = BoolFunction(f.algebra, len(remaining), eliminant_table)
-        stages.append(EliminationStage(block, tuple(remaining), phi, table, g))
+    split = _check_split(f.n, split)
+    stages, g = _eliminate_stages(f, range(f.n), split, phi_policy)
     return EliminationTrace(f.algebra, f.n, split, phi_policy,
                             tuple(stages), g.coeff(0))
+
+
+# ---------------------------------------------------------------------------
+# CNF: the clause stage
+
+# A slab of 2^20 entries (1 MiB) or more keeps numpy's per-call cost small.
+_SLAB_ENTRIES = 1 << 20
+
+
+def _clause_cubes(clauses) -> tuple[Cube, ...]:
+    """The cube of each DIMACS clause; a clause holding a variable in both
+    polarities is always true and has none."""
+    cubes = []
+    for clause in clauses:
+        cube: dict[int, int] = {}
+        for lit in clause:
+            if cube.setdefault(abs(lit) - 1, int(lit < 0)) != int(lit < 0):
+                break
+        else:
+            cubes.append(tuple(sorted(cube.items())))
+    return tuple(cubes)
+
+
+def _restrict(cubes, fixed: dict[int, int]) -> list[Cube]:
+    """The cubes that meet the partial 0/1 point ``fixed``, with its
+    variables removed."""
+    return [tuple((v, x) for v, x in cube if v not in fixed)
+            for cube in cubes if all(fixed.get(v, x) == x for v, x in cube)]
+
+
+def _write_cubes(table: np.ndarray, variables, cubes, one) -> None:
+    """Set every entry of the flat table over ``variables`` (the first is
+    the most significant bit) that lies in a cube to ``one``, in place.
+    The cubes mention no other variable."""
+    variables = tuple(variables)
+    view = table.reshape((2,) * len(variables))
+    axis = {v: a for a, v in enumerate(variables)}
+    for cube in cubes:
+        sel = [slice(None)] * len(variables)
+        for v, x in cube:
+            sel[axis[v]] = x
+        view[tuple(sel)] = one
+
+
+def cnf_function(n: int, clauses, algebra: Algebra,
+                 var_cap: int = DEFAULT_VAR_CAP) -> BoolFunction:
+    """f with f = 0 exactly on satisfying assignments: 1 on the cube where
+    some clause is false.  A tautological clause contributes nothing."""
+    _check_var_cap(n, var_cap)
+    table = np.zeros(1 << n, dtype=_dtype_for(algebra))
+    _write_cubes(table, range(n), _clause_cubes(clauses), _one_value(algebra))
+    return BoolFunction(algebra, n, table)
+
+
+def eliminate_cnf(n: int, clauses, split) -> EliminationTrace:
+    """``eliminate_blocks(cnf_function(n, clauses, B0), split)`` under the
+    minterm policy, with stage 1 computed from the clauses.
+
+    Row A of stage 1 is f with the first block at A.  The rows are written
+    in slabs, runs of whole rows that share their leading block bits (the
+    prefix): the clauses without a prefix variable go once into a common
+    buffer, and each slab is a copy of it plus the clauses its prefix
+    leaves live.  The eliminant is the AND of the rows, and the 2^n table
+    is never held.
+    """
+    split = _check_split(n, split)
+    if not split:
+        raise ValueError("the clause stage needs at least one variable")
+    algebra = Algebra(1)
+    block = split[0]
+    remaining = tuple(i for i in range(n) if i not in block)
+    cubes = _clause_cubes(clauses)
+    # Each slab holds 2^free rows of 2^len(remaining) entries.
+    free = min(len(block), max(0, (_SLAB_ENTRIES - 1).bit_length() - len(remaining)))
+    prefix = block[:len(block) - free]
+    variables = block[len(block) - free:] + remaining
+    common = np.zeros(1 << len(variables), dtype=bool)
+    _write_cubes(common, variables,
+                 [c for c in cubes if not any(v in prefix for v, _ in c)], True)
+    live = [c for c in cubes if any(v in prefix for v, _ in c)]
+    slab = np.empty_like(common) if prefix else common
+    eliminant = np.ones(1 << len(remaining), dtype=bool)
+    zero = 0
+    for p in range(1 << len(prefix)):
+        if prefix:
+            np.copyto(slab, common)
+            _write_cubes(slab, variables,
+                         _restrict(live, dict(zip(prefix, point_bits(p, len(prefix))))),
+                         True)
+        rows = slab.reshape(1 << free, -1)
+        eliminant &= np.bitwise_and.reduce(rows, axis=0)
+        zero += int(np.count_nonzero(~rows.any(axis=1)))
+    g = BoolFunction(algebra, len(remaining), eliminant)
+    first = ClauseStage(block, remaining, minterm_set(len(block), algebra,
+                                                      var_cap=len(block)),
+                        cubes, g, zero)
+    stages, g = _eliminate_stages(g, remaining, split[1:], "minterm")
+    return EliminationTrace(algebra, n, split, "minterm",
+                            (first, *stages), g.coeff(0))
 
 
 def extract_solution(trace: EliminationTrace) -> Assignment:
     """Rebuild a solution of f = 0 from a consistent elimination trace.
 
-    Walks the stages backwards.  At each one the constants are the table's
-    coefficients at the partial assignment (one column gather per atom).
+    Walks the stages backwards.  At each one the constants are the stage's
+    coefficients at the partial assignment (``stage.constants_at``).
     The linear ON equation over them is solved in reversed member order
     over the two-element algebra, so the pivot is the highest-index
     vanishing block, and in member order otherwise; then the ON system
@@ -372,12 +524,7 @@ def extract_solution(trace: EliminationTrace) -> Assignment:
     step = -1 if algebra.is_two_element else 1
     values: dict[int, int] = {}
     for stage in reversed(trace.stages):
-        constants = np.zeros(stage.phi.order, dtype=stage.table.dtype)
-        for t in range(algebra.atom_count):
-            idx = 0
-            for i in stage.remaining:
-                idx = idx << 1 | (values[i] >> t & 1)
-            constants |= stage.table[:, idx] & _mask_to_value(algebra, 1 << t)
+        constants = stage.constants_at(values)
         order = np.arange(stage.phi.order)[::step]
         beta = _linear_on(constants, _one_value(algebra), order)
         if beta is None:
@@ -406,11 +553,10 @@ def render_trace(trace: EliminationTrace,
              f"{trace.algebra.atom_count}, policy={trace.policy}"]
     for s, stage in enumerate(trace.stages, start=1):
         digest = table_digest(stage.eliminant.table)
-        zero_coeffs = int(np.count_nonzero(~stage.table.any(axis=1)))
         lines.append(
             f"  stage {s}: eliminate {{{', '.join(name(i) for i in stage.block)}}}"
             f" via ON order {stage.phi.order};"
-            f" coefficients: {stage.phi.order} ({zero_coeffs} zero);"
+            f" coefficients: {stage.phi.order} ({stage.zero_coefficients} zero);"
             f" eliminant over {len(stage.remaining)} vars"
             f" ({1 << len(stage.remaining)} entries, digest {digest})")
     lines.append(f"  final constant: {trace.final}"

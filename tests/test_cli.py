@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from onsolve import cli
+from onsolve import cli, solver
 from onsolve.cli import (
     ProblemFormatError,
     cnf_function,
@@ -34,6 +34,12 @@ GOLDEN_MODELS = [
      "model: x1=a2 x2=0"),
     (("implication.txt", "--phi-policy", "ladder", "--block-size", "4"),
      "model: x=1 y=1 z=1"),
+    (("empty.cnf",), "model:"),
+    (("rand8_sat.cnf",), "model: x1=0 x2=1 x3=1 x4=0 x5=1 x6=1 x7=1 x8=0"),
+    (("rand8_sat.cnf", "--block-size", "3"),
+     "model: x1=0 x2=0 x3=1 x4=1 x5=1 x6=1 x7=1 x8=0"),
+    (("single.cnf",), "model: x1=1 x2=1 x3=1"),
+    (("triangle.cnf",), "model: x1=1 x2=0 x3=1 x4=0"),
 ]
 
 GOLDEN_TRACES = {
@@ -52,6 +58,34 @@ elimination trace: n=2, algebra=2^3, policy=minterm
   stage 1: eliminate {x1, x2} via ON order 4; coefficients: 4 (1 zero); eliminant over 0 vars (1 entries, digest 05fe4057)
   final constant: 0 -> CONSISTENT
 """,
+    "empty.cnf": """\
+CONSISTENT
+model:
+elimination trace: n=0, algebra=2^1, policy=minterm
+  final constant: 0 -> CONSISTENT
+""",
+    "rand8_sat.cnf": """\
+CONSISTENT
+model: x1=0 x2=1 x3=1 x4=0 x5=1 x6=1 x7=1 x8=0
+elimination trace: n=8, algebra=2^1, policy=minterm
+  stage 1: eliminate {x1, x2, x3, x4} via ON order 16; coefficients: 16 (0 zero); eliminant over 4 vars (16 entries, digest a7c9aea5)
+  stage 2: eliminate {x5, x6, x7, x8} via ON order 16; coefficients: 16 (3 zero); eliminant over 0 vars (1 entries, digest 5ba93c9d)
+  final constant: 0 -> CONSISTENT
+""",
+    "single.cnf": """\
+CONSISTENT
+model: x1=1 x2=1 x3=1
+elimination trace: n=3, algebra=2^1, policy=minterm
+  stage 1: eliminate {x1, x2, x3} via ON order 8; coefficients: 8 (7 zero); eliminant over 0 vars (1 entries, digest 5ba93c9d)
+  final constant: 0 -> CONSISTENT
+""",
+    "triangle.cnf": """\
+CONSISTENT
+model: x1=1 x2=0 x3=1 x4=0
+elimination trace: n=4, algebra=2^1, policy=minterm
+  stage 1: eliminate {x1, x2, x3, x4} via ON order 16; coefficients: 16 (2 zero); eliminant over 0 vars (1 entries, digest 5ba93c9d)
+  final constant: 0 -> CONSISTENT
+""",
 }
 
 
@@ -66,6 +100,48 @@ def test_solve_trace_flag(capsys):
     for name, expected in GOLDEN_TRACES.items():
         code, out, _ = run(capsys, "solve", str(INSTANCES / name), "--trace")
         assert (code, out) == (0, expected), name
+
+
+def test_solve_cnf_never_builds_the_table(capsys, monkeypatch):
+    # Under the minterm policy a DIMACS solve computes stage 1 from the
+    # clauses; only n = 0 and the ladder policy build the dense table.
+    def cnf_function(*args, **kwargs):
+        raise AssertionError("dense table built")
+
+    monkeypatch.setattr(cli, "cnf_function", cnf_function)
+    monkeypatch.setattr(solver, "cnf_function", cnf_function)
+    for name in ("rand8_sat.cnf", "single.cnf", "triangle.cnf"):
+        code, out, _ = run(capsys, "solve", str(INSTANCES / name), "--trace")
+        assert (code, out) == (0, GOLDEN_TRACES[name]), name
+    code, out, _ = run(capsys, "solve", str(INSTANCES / "php32.cnf"))
+    assert (code, out) == (1, "INCONSISTENT\n")
+
+
+def test_solve_tautological_clause(capsys, tmp_path):
+    # "1 -1 0" is always true and adds nothing, so x1 = 1 satisfies the file
+    problem = tmp_path / "taut.cnf"
+    problem.write_text("p cnf 1 2\n1 -1 0\n1 0\n")
+    for policy in ("minterm", "ladder"):
+        code, out, _ = run(capsys, "solve", str(problem), "--trace",
+                           "--phi-policy", policy)
+        assert (code, out) == (0, f"""\
+CONSISTENT
+model: x1=1
+elimination trace: n=1, algebra=2^1, policy={policy}
+  stage 1: eliminate {{x1}} via ON order 2; coefficients: 2 (1 zero); eliminant over 0 vars (1 entries, digest 5ba93c9d)
+  final constant: 0 -> CONSISTENT
+"""), policy
+
+
+def test_dimacs_var_cap_checked_at_parse(capsys, tmp_path):
+    problem = tmp_path / "wide.cnf"
+    problem.write_text("p cnf 30 0\n")
+    message = ("30 variables exceeds the table cap of 24 "
+               "(pass var_cap=30 to allow tables of 2^30 entries)")
+    with pytest.raises(ValueError) as info:
+        parse_problem(problem)
+    assert str(info.value) == message
+    assert run(capsys, "solve", str(problem)) == (2, "", f"error: {message}\n")
 
 
 def test_solve_unsat_cnf_exit_code(capsys):
@@ -242,14 +318,15 @@ def test_parse_dimacs():
 
 
 def test_cnf_function_semantics():
-    # f = 0 exactly on assignments satisfying the clause set
-    n, clauses = 3, [[1, -2], [2, 3]]
-    f = cnf_function(n, clauses, B0)
+    # f = 0 exactly on assignments satisfying the clause set; a clause with
+    # a variable in both polarities is always satisfied
     from helpers import clauses_satisfied
 
-    for j in range(8):
-        bits = [(j >> (2 - i)) & 1 for i in range(3)]
-        assert f.coeff(j).is_zero == clauses_satisfied(clauses, bits)
+    for clauses in ([[1, -2], [2, 3]], [[1, -2], [3, -3, 1], [-1, 2, -1]]):
+        f = cnf_function(3, clauses, B0)
+        for j in range(8):
+            bits = [(j >> (2 - i)) & 1 for i in range(3)]
+            assert f.coeff(j).is_zero == clauses_satisfied(clauses, bits)
 
 
 def test_problem_file_validation(tmp_path):

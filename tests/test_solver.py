@@ -14,11 +14,13 @@ from onsolve import (
     b0_consistency,
     block_eliminant,
     brute_consistency,
+    cnf_function,
     complement,
     consecutive_split,
     consistency_on_class,
     delta_tuple,
     eliminate_blocks,
+    eliminate_cnf,
     eliminate_variable,
     extract_solution,
     from_blocks,
@@ -32,6 +34,7 @@ from onsolve import (
     solve_on_system,
     term_to_function,
 )
+from onsolve import solver
 from onsolve.algebra import Algebra, join_all, meet, meet_all
 from onsolve.solver import is_on_system
 
@@ -566,6 +569,60 @@ def test_render_trace_mentions_stages():
     report = render_trace(trace, ["x", "y", "z"])
     assert "stage 1: eliminate {y, z}" in report
     assert "CONSISTENT" in report
+
+
+# ---------------------------------------------------------------------------
+# the clause stage
+
+
+def _messy_cnf(n, rng):
+    """Random clauses of width 1..4 drawn with replacement, so they hold
+    repeated literals and tautologies; an empty clause now and then."""
+    clauses = [[v if rng.random() < 0.5 else -v
+                for v in rng.choices(range(1, n + 1), k=rng.choice((1, 2, 3, 3, 4)))]
+               for _ in range(rng.randint(0, 3 * n))]
+    if rng.random() < 0.05:
+        clauses.insert(rng.randint(0, len(clauses)), [])
+    return clauses
+
+
+def _random_split(n, rng):
+    variables = list(range(n))
+    if rng.random() < 0.5:
+        rng.shuffle(variables)
+    size = rng.randint(1, n)
+    return [variables[s:s + size] for s in range(0, n, size)]
+
+
+@pytest.mark.parametrize("slab", [1, 16, 256, solver._SLAB_ENTRIES])
+def test_eliminate_cnf_matches_dense_stages(monkeypatch, slab):
+    # Small slabs make the per-row and multi-slab paths run at n <= 12.
+    monkeypatch.setattr(solver, "_SLAB_ENTRIES", slab)
+    rng = random.Random(f"clause-stage:{slab}")
+    consistent = 0
+    for _ in range(80):
+        n = rng.randint(1, 12)
+        clauses = _messy_cnf(n, rng)
+        split = _random_split(n, rng)
+        dense = eliminate_blocks(cnf_function(n, clauses, B0), split)
+        fast = eliminate_cnf(n, clauses, split)
+        assert len(fast.stages) == len(dense.stages)
+        for got, want in zip(fast.stages, dense.stages):
+            assert (got.block, got.remaining) == (want.block, want.remaining)
+            assert np.array_equal(got.eliminant.table, want.eliminant.table)
+            assert got.zero_coefficients == want.zero_coefficients
+        assert fast.final == dense.final
+        if dense.consistent:
+            consistent += 1
+            assert extract_solution(fast) == extract_solution(dense)
+    assert consistent >= 20
+
+
+def test_eliminate_cnf_validation():
+    with pytest.raises(ValueError):
+        eliminate_cnf(3, [[1]], [[0, 1]])
+    with pytest.raises(ValueError):
+        eliminate_cnf(0, [], [])
 
 
 # ---------------------------------------------------------------------------
