@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .algebra import Algebra
+from .algebra import Algebra, AlgebraElement
 from .function import DEFAULT_VAR_CAP, BoolFunction, _check_var_cap, parse, to_expression
 from .orthonormal import (
     OrthonormalSet,
@@ -62,6 +62,16 @@ class ProblemFile:
         if self.equation is not None:
             return self.equation
         return cnf_function(self.n, self.clauses, self.algebra, var_cap=self.n)
+
+    def evaluate(self, model: Assignment) -> AlgebraElement:
+        """f at the model.  A DIMACS file is evaluated from its clauses:
+        over {0, 1}, f is 1 exactly when some clause has every literal false."""
+        if self.clauses is None:
+            return self.function.evaluate(tuple(model[i] for i in range(self.n)))
+        bits = [model[i].mask for i in range(self.n)]
+        return self.algebra.element(int(any(
+            all(bits[abs(lit) - 1] == (lit < 0) for lit in clause)
+            for clause in self.clauses)))
 
 
 def default_var_names(n: int) -> list[str]:
@@ -276,8 +286,7 @@ def cmd_solve(args) -> int:
     problem = parse_problem(Path(args.problem), args.algebra, args.var_cap)
     if args.check_model:
         model = parse_model(Path(args.check_model).read_text(), problem)
-        value = problem.function.evaluate(
-            tuple(model[i] for i in range(problem.n)))
+        value = problem.evaluate(model)
         if value.is_zero:
             print("model verifies: f = 0")
             return 0
@@ -368,9 +377,7 @@ def cmd_verify(args) -> int:
             continue
         ok = trace.consistent == report.consistent
         if ok and model is not None:
-            value = problem.function.evaluate(
-                tuple(model[i] for i in range(problem.n)))
-            ok = value.is_zero
+            ok = problem.evaluate(model).is_zero
         agree += ok
         verdict = "agree" if ok else "DISAGREE"
         print(f"{name}: solver={'CONSISTENT' if trace.consistent else 'INCONSISTENT'}"

@@ -93,10 +93,8 @@ class BoolFunction:
         if not 0 <= i < n:
             raise IndexError(f"variable index {i} out of range for n={n}")
         table = np.zeros(1 << n, dtype=_dtype_for(algebra))
-        view = table.reshape((2,) * n)
-        sel = [slice(None)] * n
-        sel[i] = 1
-        view[tuple(sel)] = _one_value(algebra)
+        one = _one_value(algebra)
+        _write_cubes(table, range(n), [((i, 1),)], [one], one)
         return cls(algebra, n, table)
 
     @classmethod
@@ -248,28 +246,96 @@ class BoolFunction:
         return f"<BoolFunction n={self.n} over 2^{self.algebra.atom_count}: {body}>"
 
 
-def _expr_table(expr: Expr, n: int, algebra: Algebra) -> np.ndarray:
-    """Table of an expression, built compositionally (equals evaluating the
-    tree at every 0/1 point, since all operations act entrywise)."""
-    if isinstance(expr, Var):
-        if expr.index >= n:
-            raise ValueError(f"variable index {expr.index} outside n={n}")
-        return np.asarray(BoolFunction.variable(algebra, n, expr.index,
-                                                var_cap=n).table)
+def _write_cubes(table: np.ndarray, variables, cubes, values, one) -> None:
+    """OR ``values[i]`` into every entry of cube i, in place.  The flat
+    table ranges over ``variables`` (the first is the most significant bit),
+    and a cube is (variable, bit) pairs over them.  A value equal to the
+    algebra's 1 (``one``) is assigned, which is the same and cheaper."""
+    variables = tuple(variables)
+    view = table.reshape((2,) * len(variables))
+    axis = {v: a for a, v in enumerate(variables)}
+    for cube, value in zip(cubes, values):
+        sel = [slice(None)] * len(variables)
+        for v, x in cube:
+            sel[axis[v]] = x
+        if value == one:
+            view[tuple(sel)] = value
+        else:
+            view[tuple(sel)] |= value
+
+
+def _cube_term(expr: Expr, n: int, algebra: Algebra) -> tuple[int, dict] | None:
+    """Fold a product of literals and variable-free factors to its atom mask
+    and its ``{variable: bit}`` map, or None when expr is no such product.
+    A contradictory pair of literals folds to mask 0."""
     if isinstance(expr, Const):
         if expr.value.algebra != algebra:
             raise AlgebraMismatchError("constant from a different algebra")
-        return np.full(1 << n, _mask_to_value(algebra, expr.value.mask),
-                       dtype=_dtype_for(algebra))
+        return expr.value.mask, {}
+    if isinstance(expr, Var):
+        if expr.index >= n:
+            raise ValueError(f"variable index {expr.index} outside n={n}")
+        return algebra.full_mask, {expr.index: 1}
+    if isinstance(expr, Not):
+        term = _cube_term(expr.arg, n, algebra)
+        if term is None:
+            return None
+        mask, lits = term
+        if not lits:
+            return algebra.full_mask & ~mask, {}
+        if mask == algebra.full_mask and len(lits) == 1:
+            ((v, x),) = lits.items()
+            return mask, {v: 1 - x}
+        return None
     if isinstance(expr, Sum):
-        out = np.zeros(1 << n, dtype=_dtype_for(algebra))
+        mask = 0
         for p in expr.parts:
-            out = out | _expr_table(p, n, algebra)
-        return out
+            term = _cube_term(p, n, algebra)
+            if term is None or term[1]:
+                return None
+            mask |= term[0]
+        return mask, {}
+    if isinstance(expr, Prod):
+        mask, lits = algebra.full_mask, {}
+        for p in expr.parts:
+            term = _cube_term(p, n, algebra)
+            if term is None:
+                return None
+            mask &= term[0]
+            for v, x in term[1].items():
+                if lits.setdefault(v, x) != x:
+                    mask = 0
+        return mask, lits
+    return None
+
+
+def _expr_table(expr: Expr, n: int, algebra: Algebra) -> np.ndarray:
+    """Table of an expression (equals evaluating the tree at every 0/1
+    point, since all operations act entrywise).  Each part of a sum that is
+    a cube term is one strided write into a zeros buffer; any other part is
+    built compositionally."""
+    one = _one_value(algebra)
+    out = np.zeros(1 << n, dtype=_dtype_for(algebra))
+    cubes, values = [], []
+    for part in expr.parts if isinstance(expr, Sum) else (expr,):
+        term = _cube_term(part, n, algebra)
+        if term is None:
+            out |= _composite_table(part, n, algebra)
+        elif term[0]:
+            cubes.append(term[1].items())
+            values.append(_mask_to_value(algebra, term[0]))
+    _write_cubes(out, range(n), cubes, values, one)
+    return out
+
+
+def _composite_table(expr: Expr, n: int, algebra: Algebra) -> np.ndarray:
+    """Table of a node that is not a cube term, from its parts' tables."""
+    if isinstance(expr, Sum):
+        return _expr_table(expr, n, algebra)
     if isinstance(expr, Prod):
         out = np.full(1 << n, _one_value(algebra), dtype=_dtype_for(algebra))
         for p in expr.parts:
-            out = out & _expr_table(p, n, algebra)
+            out &= _expr_table(p, n, algebra)
         return out
     if isinstance(expr, Not):
         return _expr_table(expr.arg, n, algebra) ^ _one_value(algebra)
@@ -339,12 +405,8 @@ def term_to_function(t: Term, n: int, algebra: Algebra,
     if t.width > n:
         raise ValueError(f"term over {t.width} variables does not fit n={n}")
     table = np.zeros(1 << n, dtype=_dtype_for(algebra))
-    view = table.reshape((2,) * n)
-    sel = [slice(None)] * n
-    for i, e in enumerate(t.exponents):
-        if e != -1:
-            sel[i] = e
-    view[tuple(sel)] = _one_value(algebra)
+    one = _one_value(algebra)
+    _write_cubes(table, range(n), [t.fixed_vars().items()], [one], one)
     return BoolFunction(algebra, n, table)
 
 

@@ -74,11 +74,20 @@ class OrthonormalSet:
         return reps
 
     @cached_property
+    def _grouped(self) -> tuple[np.ndarray, np.ndarray]:
+        """The minterms sorted by block, and where each block starts in
+        that order."""
+        members = np.argsort(self.labels)
+        starts = np.zeros(self.order, dtype=np.intp)
+        np.cumsum(np.bincount(self.labels)[:-1], out=starts[1:])
+        return members, starts
+
+    @cached_property
     def blocks(self) -> tuple[frozenset[int], ...]:
         """The blocks as sets of minterm indices, in block order."""
-        members = np.argsort(self.labels)
-        cuts = np.cumsum(np.bincount(self.labels))[:-1]
-        return tuple(frozenset(part.tolist()) for part in np.split(members, cuts))
+        members, starts = self._grouped
+        return tuple(frozenset(part.tolist())
+                     for part in np.split(members, starts[1:]))
 
     @property
     def order(self) -> int:
@@ -232,8 +241,17 @@ def is_in_class(f: BoolFunction, onset: OrthonormalSet) -> ClassMembership:
     coefficients; on success the canonical constants are the interval lows."""
     if f.algebra != onset.algebra or f.n != onset.n:
         raise ValueError("function and ON set must share algebra and arity")
-    intervals = tuple(coefficient_interval(f, phi) for phi in onset.members())
-    if all(iv.nonempty for iv in intervals):
+    # The interval of member i is [OR, AND] of f over block i: outside the
+    # block f*phi is 0 and f + phi' is 1.
+    members, starts = onset._grouped
+    values = f.table[members]
+    lows = np.bitwise_or.reduceat(values, starts)
+    highs = np.bitwise_and.reduceat(values, starts)
+    element = {m: f.algebra.element(int(m))
+               for m in {*lows.tolist(), *highs.tolist()}}
+    intervals = tuple(CoefficientInterval(element[low], element[high])
+                      for low, high in zip(lows.tolist(), highs.tolist()))
+    if not np.any(lows & ~highs):
         return ClassMembership(True, tuple(iv.low for iv in intervals), intervals)
     return ClassMembership(False, None, intervals)
 

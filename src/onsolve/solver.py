@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .algebra import (Algebra, AlgebraElement, AlgebraMismatchError,
                       complement, meet, meet_all)
 from .function import (DEFAULT_VAR_CAP, BoolFunction, _check_var_cap, _dtype_for,
-                       _mask_to_value, _one_value, point_bits)
+                       _mask_to_value, _one_value, _write_cubes, point_bits)
 from .orthonormal import (
     OrthonormalSet,
     is_in_class,
@@ -341,7 +342,8 @@ class ClauseStage:
         ``values``, written from the cubes that point leaves live."""
         point = {i: values[i] for i in self.remaining}
         constants = np.zeros(self.phi.order, dtype=bool)
-        _write_cubes(constants, self.block, _restrict(self.cubes, point), True)
+        _write_cubes(constants, self.block, _restrict(self.cubes, point),
+                     repeat(True), True)
         return constants
 
 
@@ -437,27 +439,14 @@ def _restrict(cubes, fixed: dict[int, int]) -> list[Cube]:
             for cube in cubes if all(fixed.get(v, x) == x for v, x in cube)]
 
 
-def _write_cubes(table: np.ndarray, variables, cubes, one) -> None:
-    """Set every entry of the flat table over ``variables`` (the first is
-    the most significant bit) that lies in a cube to ``one``, in place.
-    The cubes mention no other variable."""
-    variables = tuple(variables)
-    view = table.reshape((2,) * len(variables))
-    axis = {v: a for a, v in enumerate(variables)}
-    for cube in cubes:
-        sel = [slice(None)] * len(variables)
-        for v, x in cube:
-            sel[axis[v]] = x
-        view[tuple(sel)] = one
-
-
 def cnf_function(n: int, clauses, algebra: Algebra,
                  var_cap: int = DEFAULT_VAR_CAP) -> BoolFunction:
     """f with f = 0 exactly on satisfying assignments: 1 on the cube where
     some clause is false.  A tautological clause contributes nothing."""
     _check_var_cap(n, var_cap)
     table = np.zeros(1 << n, dtype=_dtype_for(algebra))
-    _write_cubes(table, range(n), _clause_cubes(clauses), _one_value(algebra))
+    one = _one_value(algebra)
+    _write_cubes(table, range(n), _clause_cubes(clauses), repeat(one), one)
     return BoolFunction(algebra, n, table)
 
 
@@ -485,7 +474,8 @@ def eliminate_cnf(n: int, clauses, split) -> EliminationTrace:
     variables = block[len(block) - free:] + remaining
     common = np.zeros(1 << len(variables), dtype=bool)
     _write_cubes(common, variables,
-                 [c for c in cubes if not any(v in prefix for v, _ in c)], True)
+                 [c for c in cubes if not any(v in prefix for v, _ in c)],
+                 repeat(True), True)
     live = [c for c in cubes if any(v in prefix for v, _ in c)]
     slab = np.empty_like(common) if prefix else common
     eliminant = np.ones(1 << len(remaining), dtype=bool)
@@ -495,7 +485,7 @@ def eliminate_cnf(n: int, clauses, split) -> EliminationTrace:
             np.copyto(slab, common)
             _write_cubes(slab, variables,
                          _restrict(live, dict(zip(prefix, point_bits(p, len(prefix))))),
-                         True)
+                         repeat(True), True)
         rows = slab.reshape(1 << free, -1)
         eliminant &= np.bitwise_and.reduce(rows, axis=0)
         zero += int(np.count_nonzero(~rows.any(axis=1)))

@@ -190,6 +190,42 @@ def test_check_model_rejects_wrong_model(capsys, tmp_path):
     assert "model fails" in out
 
 
+def test_check_model_cnf_evaluates_clauses(capsys, monkeypatch, tmp_path):
+    # Over {0, 1} a DIMACS model is checked against the clauses, so
+    # `--check-model` builds no table; it agrees with the table everywhere.
+    problem = tmp_path / "mixed.cnf"
+    problem.write_text("p cnf 3 4\n1 -1 2 0\n-2 3 0\n1 2 2 0\n-1 -3 0\n")
+    empty_clause = tmp_path / "empty_clause.cnf"
+    empty_clause.write_text("p cnf 2 2\n1 2 0\n0\n")
+    files = [INSTANCES / name for name in ("rand8_sat.cnf", "single.cnf",
+                                           "contra2.cnf")]
+    files += [problem, empty_clause]
+    dense = {path: parse_problem(path).function for path in files}
+
+    def cnf_function(*args, **kwargs):
+        raise AssertionError("dense table built")
+
+    monkeypatch.setattr(cli, "cnf_function", cnf_function)
+    monkeypatch.setattr(solver, "cnf_function", cnf_function)
+    for path in files:
+        parsed = parse_problem(path)
+        for j in range(1 << parsed.n):
+            model = {i: B0.element(j >> (parsed.n - 1 - i) & 1)
+                     for i in range(parsed.n)}
+            assert parsed.evaluate(model) == dense[path].coeff(j), (path, j)
+
+    code, out, _ = run(capsys, "solve", str(INSTANCES / "rand8_sat.cnf"))
+    model_file = tmp_path / "model.txt"
+    model_file.write_text(out.splitlines()[1].removeprefix("model:"))
+    assert run(capsys, "solve", str(INSTANCES / "rand8_sat.cnf"),
+               "--check-model", str(model_file)) == (
+        0, "model verifies: f = 0\n", "")
+    model_file.write_text("x1=0 x2=1 x3=0\n")
+    assert run(capsys, "solve", str(INSTANCES / "single.cnf"),
+               "--check-model", str(model_file)) == (
+        1, "model fails: f = 1\n", "")
+
+
 THREE_BLOCKS = "ON of order 3\n3 3\nM1={0,5,7}\nM2={1,3,6}\nM3={2,4}\n"
 
 # Exact `check-on` output per file in instances/onsets/, with and without

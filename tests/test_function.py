@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onsolve import (
+    Algebra,
+    AlgebraMismatchError,
     BoolFunction,
     Term,
     cofactor,
@@ -17,11 +19,13 @@ from onsolve import (
     term_to_function,
     to_expression,
 )
+from onsolve.function import point_bits
 from onsolve.parsing import Const, Not, Prod, Sum, Var
 
 from helpers import (
     B0,
     B2,
+    B3,
     all_points,
     minterm_sum_eval,
     rand_element,
@@ -63,28 +67,82 @@ def test_evaluate_at_01_points_returns_coeffs():
         assert f.evaluate_bits(bits) == f.coeff(j)
 
 
-def _random_expr(rng, n, algebra, depth=3):
-    if depth == 0 or rng.random() < 0.3:
-        if rng.random() < 0.5 and n:
-            return Var(rng.randrange(n))
-        return Const(rand_element(algebra, rng))
-    kind = rng.randrange(3)
-    if kind == 0:
-        return Sum(tuple(_random_expr(rng, n, algebra, depth - 1)
-                         for _ in range(2)))
-    if kind == 1:
-        return Prod(tuple(_random_expr(rng, n, algebra, depth - 1)
-                          for _ in range(2)))
-    return Not(_random_expr(rng, n, algebra, depth - 1))
+# Atom counts 0, 1, 3 and 65 cover the bool, uint64 and object tables.
+EXPR_ALGEBRAS = (Algebra(0), B0, B3, Algebra(65, atom_cap=65))
 
 
-def test_table_evaluation_matches_ast_interpreter():
-    rng = random.Random(11)
-    for _ in range(60):
-        expr = _random_expr(rng, 3, B2)
-        f = BoolFunction.from_expr(expr, 3, B2)
-        point = tuple(rand_element(B2, rng) for _ in range(3))
-        assert f.evaluate(point) == expr.evaluate(point, B2)
+@st.composite
+def _constants(draw, algebra, depth=2):
+    """A variable-free subtree: a constant (often 0), or a sum, product or
+    complement of such subtrees."""
+    kind = draw(st.sampled_from(("const", "zero", "sum", "prod", "not")
+                                if depth else ("const", "zero")))
+    if kind == "const":
+        return Const(algebra.element(draw(st.integers(0, algebra.full_mask))))
+    if kind == "zero":
+        return Const(algebra.zero)
+    if kind == "not":
+        return Not(draw(_constants(algebra, depth - 1)))
+    parts = tuple(draw(st.lists(_constants(algebra, depth - 1),
+                                min_size=1, max_size=3)))
+    return (Sum if kind == "sum" else Prod)(parts)
+
+
+@st.composite
+def _literals(draw, n):
+    """A variable under zero to two complements."""
+    expr = Var(draw(st.integers(0, n - 1)))
+    for _ in range(draw(st.integers(0, 2))):
+        expr = Not(expr)
+    return expr
+
+
+@st.composite
+def _expressions(draw, n, algebra, depth=3):
+    """Trees mixing cube terms (repeated and contradictory literals,
+    constant factors, zero masks) with nodes that are not cube terms:
+    complemented sums and products of sums."""
+    factor = _constants(algebra)
+    if n:
+        factor = st.one_of(factor, _literals(n), _literals(n))
+    cube = st.lists(factor, min_size=1, max_size=4).map(
+        lambda parts: parts[0] if len(parts) == 1 else Prod(tuple(parts)))
+    if not depth:
+        return draw(cube)
+    kind = draw(st.sampled_from(("cube", "sum", "prod", "not")))
+    if kind == "cube":
+        return draw(cube)
+    if kind == "not":
+        return Not(draw(_expressions(n, algebra, depth - 1)))
+    parts = tuple(draw(st.lists(_expressions(n, algebra, depth - 1),
+                                min_size=1, max_size=4)))
+    return (Sum if kind == "sum" else Prod)(parts)
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_table_evaluation_matches_ast_interpreter(data):
+    algebra = data.draw(st.sampled_from(EXPR_ALGEBRAS))
+    n = data.draw(st.integers(0, 5))
+    expr = data.draw(_expressions(n, algebra))
+    f = BoolFunction.from_expr(expr, n, algebra)
+    for j in range(1 << n):
+        point = tuple(algebra.one if bit else algebra.zero
+                      for bit in point_bits(j, n))
+        assert f.coeff(j) == expr.evaluate(point, algebra), (expr, j)
+    point = tuple(algebra.element(data.draw(st.integers(0, algebra.full_mask)))
+                  for _ in range(n))
+    assert f.evaluate(point) == expr.evaluate(point, algebra)
+
+
+def test_expression_table_checks():
+    with pytest.raises(AlgebraMismatchError):
+        BoolFunction.from_expr(Prod((Var(0), Const(B3.atom(1)))), 2, B2)
+    with pytest.raises(AlgebraMismatchError):
+        BoolFunction.from_expr(Sum((Not(Sum((Var(0), Var(1)))),
+                                    Const(B3.one))), 2, B2)
+    with pytest.raises(ValueError, match="variable index 2 outside n=2"):
+        BoolFunction.from_expr(Sum((Var(0), Not(Var(2)))), 2, B2)
 
 
 def test_minterm_reconstruction_exhaustive():
