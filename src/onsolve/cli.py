@@ -78,6 +78,15 @@ def default_var_names(n: int) -> list[str]:
     return [f"x{i + 1}" for i in range(n)]
 
 
+def _integer(token: str, lineno: int) -> int:
+    """A number field on line ``lineno`` of an input file."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ProblemFormatError(
+            f"line {lineno}: expected an integer, got {token!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # DIMACS
 
@@ -86,7 +95,7 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
     n = None
     clauses: list[list[int]] = []
     pending: list[int] = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith(("c", "%")):
             continue
@@ -94,10 +103,10 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise ProblemFormatError(f"bad DIMACS header {line!r}")
-            n = int(fields[2])
+            n = _integer(fields[2], lineno)
             continue
         for tok in line.split():
-            lit = int(tok)
+            lit = _integer(tok, lineno)
             if lit == 0:
                 clauses.append(pending)
                 pending = []
@@ -149,26 +158,23 @@ def parse_problem(path: Path, algebra_override: int | None = None,
     equation: str | None = None
     blocks_line: str | None = None
     onset_line: str | None = None
-    for raw in text.splitlines():
+    onset_lineno = 0
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip_comment(raw)
         if not line:
             continue
         keyword, _, rest = line.partition(" ")
         rest = rest.strip()
         if keyword == "algebra":
-            k = int(rest)
+            k = _integer(rest, lineno)
         elif keyword == "vars":
-            fields = rest.split()
-            if len(fields) == 1 and fields[0].isdigit():
-                var_names = default_var_names(int(fields[0]))
-            else:
-                var_names = fields
+            var_names = _var_names(rest, lineno)
         elif keyword == "equation":
             equation = rest
         elif keyword == "blocks":
             blocks_line = rest
         elif keyword == "onset":
-            onset_line = rest
+            onset_line, onset_lineno = rest, lineno
         else:
             raise ProblemFormatError(f"unknown directive {keyword!r}")
     if algebra_override is not None:
@@ -202,9 +208,17 @@ def parse_problem(path: Path, algebra_override: int | None = None,
             if not (chunk.startswith("{") and chunk.endswith("}")):
                 raise ProblemFormatError(f"bad onset chunk {chunk!r}")
             body = chunk[1:-1]
-            blocks.append([int(s) for s in body.split(",") if s])
+            blocks.append([_integer(s, onset_lineno) for s in body.split(",") if s])
         onset = from_blocks(algebra, n, blocks)
     return ProblemFile(algebra, n, var_names, split, onset, None, f)
+
+
+def _var_names(rest: str, lineno: int) -> list[str]:
+    """A 'vars' line: one count (names x1..xn) or the names themselves."""
+    fields = rest.split()
+    if len(fields) == 1 and fields[0].isdigit():
+        return default_var_names(_integer(fields[0], lineno))
+    return fields
 
 
 def load_on_set(path: Path, algebra: Algebra | None,
@@ -212,9 +226,10 @@ def load_on_set(path: Path, algebra: Algebra | None,
     """ON-set file: either the block-partition format or expression form
     (optional 'algebra'/'vars' directives, then one member per line)."""
     text = path.read_text()
-    meaningful = [_strip_comment(l) for l in text.splitlines()]
-    meaningful = [l for l in meaningful if l]
-    if meaningful and meaningful[0].split()[0].isdigit():
+    meaningful = [(lineno, _strip_comment(l))
+                  for lineno, l in enumerate(text.splitlines(), 1)]
+    meaningful = [(lineno, l) for lineno, l in meaningful if l]
+    if meaningful and meaningful[0][1].split()[0].isdigit():
         if algebra is None:
             algebra = Algebra(1)
         return parse_on_set(text, algebra), algebra
@@ -222,16 +237,12 @@ def load_on_set(path: Path, algebra: Algebra | None,
     k = algebra.atom_count if algebra is not None else 1
     var_names: list[str] | None = None
     members: list[str] = []
-    for line in meaningful:
+    for lineno, line in meaningful:
         keyword, _, rest = line.partition(" ")
         if keyword == "algebra":
-            k = int(rest.strip())
+            k = _integer(rest.strip(), lineno)
         elif keyword == "vars":
-            fields = rest.split()
-            if len(fields) == 1 and fields[0].isdigit():
-                var_names = default_var_names(int(fields[0]))
-            else:
-                var_names = fields
+            var_names = _var_names(rest, lineno)
         else:
             members.append(line)
     if var_names is None:

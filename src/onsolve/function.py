@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, AlgebraElement, AlgebraMismatchError
-from .parsing import Const, Expr, Not, Prod, Sum, Var, parse_expr
+from .parsing import Cube, Expr, Not, Prod, Sum, parse_expr
 
 DEFAULT_VAR_CAP = 24
 
@@ -264,72 +264,31 @@ def _write_cubes(table: np.ndarray, variables, cubes, values, one) -> None:
             view[tuple(sel)] |= value
 
 
-def _cube_term(expr: Expr, n: int, algebra: Algebra) -> tuple[int, dict] | None:
-    """Fold a product of literals and variable-free factors to its atom mask
-    and its ``{variable: bit}`` map, or None when expr is no such product.
-    A contradictory pair of literals folds to mask 0."""
-    if isinstance(expr, Const):
-        if expr.value.algebra != algebra:
-            raise AlgebraMismatchError("constant from a different algebra")
-        return expr.value.mask, {}
-    if isinstance(expr, Var):
-        if expr.index >= n:
-            raise ValueError(f"variable index {expr.index} outside n={n}")
-        return algebra.full_mask, {expr.index: 1}
-    if isinstance(expr, Not):
-        term = _cube_term(expr.arg, n, algebra)
-        if term is None:
-            return None
-        mask, lits = term
-        if not lits:
-            return algebra.full_mask & ~mask, {}
-        if mask == algebra.full_mask and len(lits) == 1:
-            ((v, x),) = lits.items()
-            return mask, {v: 1 - x}
-        return None
-    if isinstance(expr, Sum):
-        mask = 0
-        for p in expr.parts:
-            term = _cube_term(p, n, algebra)
-            if term is None or term[1]:
-                return None
-            mask |= term[0]
-        return mask, {}
-    if isinstance(expr, Prod):
-        mask, lits = algebra.full_mask, {}
-        for p in expr.parts:
-            term = _cube_term(p, n, algebra)
-            if term is None:
-                return None
-            mask &= term[0]
-            for v, x in term[1].items():
-                if lits.setdefault(v, x) != x:
-                    mask = 0
-        return mask, lits
-    return None
-
-
 def _expr_table(expr: Expr, n: int, algebra: Algebra) -> np.ndarray:
     """Table of an expression (equals evaluating the tree at every 0/1
-    point, since all operations act entrywise).  Each part of a sum that is
-    a cube term is one strided write into a zeros buffer; any other part is
-    built compositionally."""
-    one = _one_value(algebra)
+    point, since all operations act entrywise).  Each ``Cube`` part of a
+    sum is one strided write into a zeros buffer; any other part is built
+    compositionally."""
     out = np.zeros(1 << n, dtype=_dtype_for(algebra))
     cubes, values = [], []
     for part in expr.parts if isinstance(expr, Sum) else (expr,):
-        term = _cube_term(part, n, algebra)
-        if term is None:
+        if not isinstance(part, Cube):
             out |= _composite_table(part, n, algebra)
-        elif term[0]:
-            cubes.append(term[1].items())
-            values.append(_mask_to_value(algebra, term[0]))
-    _write_cubes(out, range(n), cubes, values, one)
+            continue
+        if part.value.algebra != algebra:
+            raise AlgebraMismatchError("constant from a different algebra")
+        for v, _ in part.lits:
+            if v >= n:
+                raise ValueError(f"variable index {v} outside n={n}")
+        if part.value.mask:
+            cubes.append(part.lits)
+            values.append(_mask_to_value(algebra, part.value.mask))
+    _write_cubes(out, range(n), cubes, values, _one_value(algebra))
     return out
 
 
 def _composite_table(expr: Expr, n: int, algebra: Algebra) -> np.ndarray:
-    """Table of a node that is not a cube term, from its parts' tables."""
+    """Table of a node that is not a ``Cube``, from its parts' tables."""
     if isinstance(expr, Sum):
         return _expr_table(expr, n, algebra)
     if isinstance(expr, Prod):

@@ -12,7 +12,18 @@ Grammar (whitespace insignificant)::
 Juxtaposition multiplies, postfix ``'`` complements and binds tightest.
 For convenience the bare letters ``x y z w`` are accepted as aliases for
 ``x1 x2 x3 x4``, and callers may supply their own variable names instead.
-Element literals use the same grammar without variables.
+A name is one letter followed by digits in the sense of ``str.isdigit``, so
+names such as ``p2``, ``α`` and ``p²`` can be declared; only ASCII digits
+number an ``x`` variable or an ``a`` atom.  Element literals use the same
+grammar without variables.
+
+The parser folds cube terms as it reads them.  Constants and variables are
+``Cube`` leaves: a constant value times literals over distinct variables.
+A product of cubes is one cube (values meet, and a variable met in both
+polarities makes the value 0); a prime on a constant or on a bare literal
+is a cube; a sum of constants is a constant.  ``Sum``, ``Prod`` and ``Not``
+nodes remain only for other shapes, such as a complemented sum that holds
+variables.
 """
 
 from __future__ import annotations
@@ -42,19 +53,22 @@ class Expr:
 
 
 @dataclass(frozen=True)
-class Var(Expr):
-    index: int  # 0-based
+class Cube(Expr):
+    """``value`` times the literals ``lits``: (variable, bit) pairs over
+    distinct 0-based variables, bit 1 standing for x and 0 for x'."""
 
-    def evaluate(self, args, algebra):
-        return args[self.index]
-
-
-@dataclass(frozen=True)
-class Const(Expr):
     value: AlgebraElement
+    lits: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        if len({v for v, _ in self.lits}) != len(self.lits):
+            raise ValueError(f"cube literals {self.lits} repeat a variable")
 
     def evaluate(self, args, algebra):
-        return self.value
+        out = self.value
+        for v, bit in self.lits:
+            out = meet(out, args[v] if bit else complement(args[v]))
+        return out
 
 
 @dataclass(frozen=True)
@@ -91,53 +105,30 @@ class Not(Expr):
 # Tokenizer
 
 _LETTER_ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}  # 1-based variable numbers
+_PUNCTUATION = "01+*'()"  # each is one token, of its own kind
+_FACTOR_START = {"0", "1", "(", "NAME"}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NAME, ZERO, ONE, PLUS, STAR, PRIME, LPAREN, RPAREN, END
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) tokens, ending with an END token."""
     tokens = []
     i = 0
     while i < len(text):
         c = text[i]
         if c.isspace():
             i += 1
-            continue
-        if c == "0":
-            tokens.append(_Token("ZERO", c, i))
-            i += 1
-        elif c == "1":
-            tokens.append(_Token("ONE", c, i))
-            i += 1
-        elif c == "+":
-            tokens.append(_Token("PLUS", c, i))
-            i += 1
-        elif c == "*":
-            tokens.append(_Token("STAR", c, i))
-            i += 1
-        elif c == "'":
-            tokens.append(_Token("PRIME", c, i))
-            i += 1
-        elif c == "(":
-            tokens.append(_Token("LPAREN", c, i))
-            i += 1
-        elif c == ")":
-            tokens.append(_Token("RPAREN", c, i))
+        elif c in _PUNCTUATION:
+            tokens.append((c, c, i))
             i += 1
         elif c.isalpha():
             j = i + 1
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(_Token("NAME", text[i:j], i))
+            tokens.append(("NAME", text[i:j], i))
             i = j
         else:
             raise ExpressionSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("END", "", len(text)))
+    tokens.append(("END", "", len(text)))
     return tokens
 
 
@@ -150,93 +141,114 @@ class _Parser:
         self.algebra = algebra
         self.var_names = var_names  # name -> 0-based index, or None
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def parse(self) -> Expr:
         e = self.expr()
-        tok = self.peek()
-        if tok.kind != "END":
-            raise ExpressionSyntaxError(f"unexpected {tok.text!r}", tok.pos)
+        kind, text, pos = self.peek()
+        if kind != "END":
+            raise ExpressionSyntaxError(f"unexpected {text!r}", pos)
         return e
 
     def expr(self) -> Expr:
         parts = [self.term()]
-        while self.peek().kind == "PLUS":
-            self.next()
+        while self.peek()[0] == "+":
+            self.pos += 1
             parts.append(self.term())
-        return parts[0] if len(parts) == 1 else Sum(tuple(parts))
-
-    _FACTOR_START = {"ZERO", "ONE", "NAME", "LPAREN"}
+        if len(parts) == 1:
+            return parts[0]
+        if all(isinstance(p, Cube) and not p.lits for p in parts):
+            mask = 0
+            for p in parts:
+                mask |= p.value.mask
+            return Cube(self.algebra.element(mask))
+        return Sum(tuple(parts))
 
     def term(self) -> Expr:
         parts = [self.factor()]
         while True:
-            tok = self.peek()
-            if tok.kind == "STAR":
-                self.next()
-                parts.append(self.factor())
-            elif tok.kind in self._FACTOR_START:
-                parts.append(self.factor())
-            else:
+            kind = self.peek()[0]
+            if kind == "*":
+                self.pos += 1
+            elif kind not in _FACTOR_START:
                 break
-        return parts[0] if len(parts) == 1 else Prod(tuple(parts))
+            parts.append(self.factor())
+        if len(parts) == 1:
+            return parts[0]
+        if not all(isinstance(p, Cube) for p in parts):
+            return Prod(tuple(parts))
+        mask, lits = self.algebra.full_mask, {}
+        for p in parts:
+            mask &= p.value.mask
+            for v, bit in p.lits:
+                if lits.setdefault(v, bit) != bit:
+                    mask = 0
+        return Cube(self.algebra.element(mask), tuple(lits.items()))
 
     def factor(self) -> Expr:
         e = self.primary()
-        while self.peek().kind == "PRIME":
-            self.next()
-            e = Not(e)
+        while self.peek()[0] == "'":
+            self.pos += 1
+            if isinstance(e, Cube) and not e.lits:
+                e = Cube(complement(e.value))
+            elif isinstance(e, Cube) and len(e.lits) == 1 and e.value.is_one:
+                ((v, bit),) = e.lits
+                e = Cube(e.value, ((v, 1 - bit),))
+            else:
+                e = Not(e)
         return e
 
     def primary(self) -> Expr:
-        tok = self.next()
-        if tok.kind == "ZERO":
-            return Const(self.algebra.zero)
-        if tok.kind == "ONE":
-            return Const(self.algebra.one)
-        if tok.kind == "LPAREN":
+        kind, text, pos = self.next()
+        if kind == "0":
+            return Cube(self.algebra.zero)
+        if kind == "1":
+            return Cube(self.algebra.one)
+        if kind == "(":
             e = self.expr()
-            closing = self.next()
-            if closing.kind != "RPAREN":
-                raise ExpressionSyntaxError("expected ')'", closing.pos)
+            kind, _, pos = self.next()
+            if kind != ")":
+                raise ExpressionSyntaxError("expected ')'", pos)
             return e
-        if tok.kind == "NAME":
-            return self.resolve_name(tok)
-        raise ExpressionSyntaxError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
+        if kind == "NAME":
+            return self.resolve_name(text, pos)
+        raise ExpressionSyntaxError(f"unexpected {text or 'end of input'!r}", pos)
 
-    def resolve_name(self, tok: _Token) -> Expr:
-        name = tok.text
+    def resolve_name(self, name: str, pos: int) -> Cube:
+        # A NAME token is a letter and digits, so an ASCII name longer than
+        # one character is a letter and an ASCII number.
+        numbered = len(name) > 1 and name.isascii()
         if self.var_names is not None:
             if name in self.var_names:
-                return Var(self.var_names[name])
-            if name[0] == "a" and len(name) > 1 and name[1:].isdigit():
-                return self.resolve_atom(tok)
-            raise ExpressionSyntaxError(f"unknown variable {name!r}", tok.pos)
-        if name[0] == "x" and len(name) > 1:
+                return Cube(self.algebra.one, ((self.var_names[name], 1),))
+            if name[0] == "a" and numbered:
+                return self.resolve_atom(name, pos)
+            raise ExpressionSyntaxError(f"unknown variable {name!r}", pos)
+        if name[0] == "x" and numbered:
             number = int(name[1:])
             if not 1 <= number <= self.n:
                 raise ExpressionSyntaxError(
-                    f"variable {name!r} outside x1..x{self.n}", tok.pos)
-            return Var(number - 1)
-        if name[0] == "a" and len(name) > 1:
-            return self.resolve_atom(tok)
+                    f"variable {name!r} outside x1..x{self.n}", pos)
+            return Cube(self.algebra.one, ((number - 1, 1),))
+        if name[0] == "a" and numbered:
+            return self.resolve_atom(name, pos)
         if name in _LETTER_ALIASES and _LETTER_ALIASES[name] <= self.n:
-            return Var(_LETTER_ALIASES[name] - 1)
-        raise ExpressionSyntaxError(f"unknown symbol {name!r}", tok.pos)
+            return Cube(self.algebra.one, ((_LETTER_ALIASES[name] - 1, 1),))
+        raise ExpressionSyntaxError(f"unknown symbol {name!r}", pos)
 
-    def resolve_atom(self, tok: _Token) -> Expr:
-        atom = int(tok.text[1:])
+    def resolve_atom(self, name: str, pos: int) -> Cube:
+        atom = int(name[1:])
         if atom >= self.algebra.atom_count:
             raise ExpressionSyntaxError(
-                f"unknown atom {tok.text!r} (algebra has "
-                f"{self.algebra.atom_count} atoms)", tok.pos)
-        return Const(self.algebra.atom(atom))
+                f"unknown atom {name!r} (algebra has "
+                f"{self.algebra.atom_count} atoms)", pos)
+        return Cube(self.algebra.atom(atom))
 
 
 def parse_expr(text: str, n: int, algebra: Algebra,

@@ -8,6 +8,7 @@ from onsolve import cli, solver
 from onsolve.cli import (
     ProblemFormatError,
     cnf_function,
+    load_on_set,
     main,
     parse_dimacs,
     parse_problem,
@@ -165,6 +166,11 @@ def test_solve_error_exit_code(capsys, tmp_path):
     assert "error:" in err
     code, _, err = run(capsys, "solve", str(tmp_path / "missing.txt"))
     assert code == 2
+    bad.write_text("algebra 2\nvars 1\nequation a1² x1\n")
+    code, _, err = run(capsys, "solve", str(bad))
+    assert code == 2
+    assert err == ("error: bad equation: unknown variable 'a1²' "
+                   "(at position 0)\n")
 
 
 def test_model_roundtrip(capsys, tmp_path):
@@ -351,6 +357,12 @@ def test_parse_dimacs():
         parse_dimacs("1 -2 0\n")
     with pytest.raises(ProblemFormatError):
         parse_dimacs("p cnf 1 1\n2 0\n")
+    with pytest.raises(ProblemFormatError,
+                       match="line 2: expected an integer, got 'x'"):
+        parse_dimacs("c comment\np cnf x 1\n1 0\n")
+    with pytest.raises(ProblemFormatError,
+                       match="line 2: expected an integer, got 'x'"):
+        parse_dimacs("p cnf 2 1\n1 x 0\n")
 
 
 def test_cnf_function_semantics():
@@ -378,6 +390,21 @@ def test_problem_file_validation(tmp_path):
     bad_blocks.write_text("vars 2\nequation x1\nblocks x1 | q\n")
     with pytest.raises(ProblemFormatError):
         parse_problem(bad_blocks)
+    bad_algebra = tmp_path / "d.txt"
+    bad_algebra.write_text("vars 1\nalgebra two\nequation x1\n")
+    with pytest.raises(ProblemFormatError,
+                       match="line 2: expected an integer, got 'two'"):
+        parse_problem(bad_algebra)
+    bad_onset = tmp_path / "e.txt"
+    bad_onset.write_text("vars 2\nequation x1\nonset {0,1} {2,x}\n")
+    with pytest.raises(ProblemFormatError,
+                       match="line 3: expected an integer, got 'x'"):
+        parse_problem(bad_onset)
+    onset_file = tmp_path / "f.txt"
+    onset_file.write_text("# members\nalgebra two\nvars 1\nx1\nx1'\n")
+    with pytest.raises(ProblemFormatError,
+                       match="line 2: expected an integer, got 'two'"):
+        load_on_set(onset_file, None)
 
 
 def test_problem_file_blocks_and_onset():

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onsolve import (
-    Algebra,
     AlgebraMismatchError,
     BoolFunction,
     Term,
@@ -20,12 +19,13 @@ from onsolve import (
     to_expression,
 )
 from onsolve.function import point_bits
-from onsolve.parsing import Const, Not, Prod, Sum, Var
+from onsolve.parsing import Cube, Not, Prod, Sum
 
 from helpers import (
     B0,
     B2,
     B3,
+    EXPR_ALGEBRAS,
     all_points,
     minterm_sum_eval,
     rand_element,
@@ -67,51 +67,26 @@ def test_evaluate_at_01_points_returns_coeffs():
         assert f.evaluate_bits(bits) == f.coeff(j)
 
 
-# Atom counts 0, 1, 3 and 65 cover the bool, uint64 and object tables.
-EXPR_ALGEBRAS = (Algebra(0), B0, B3, Algebra(65, atom_cap=65))
-
-
 @st.composite
-def _constants(draw, algebra, depth=2):
-    """A variable-free subtree: a constant (often 0), or a sum, product or
-    complement of such subtrees."""
-    kind = draw(st.sampled_from(("const", "zero", "sum", "prod", "not")
-                                if depth else ("const", "zero")))
-    if kind == "const":
-        return Const(algebra.element(draw(st.integers(0, algebra.full_mask))))
-    if kind == "zero":
-        return Const(algebra.zero)
-    if kind == "not":
-        return Not(draw(_constants(algebra, depth - 1)))
-    parts = tuple(draw(st.lists(_constants(algebra, depth - 1),
-                                min_size=1, max_size=3)))
-    return (Sum if kind == "sum" else Prod)(parts)
-
-
-@st.composite
-def _literals(draw, n):
-    """A variable under zero to two complements."""
-    expr = Var(draw(st.integers(0, n - 1)))
-    for _ in range(draw(st.integers(0, 2))):
-        expr = Not(expr)
-    return expr
+def _cubes(draw, n, algebra):
+    """A Cube leaf: a constant (often 0) times literals over distinct
+    variables."""
+    value = draw(st.one_of(st.just(0), st.integers(0, algebra.full_mask)))
+    variables = draw(st.lists(st.integers(0, n - 1), unique=True,
+                              max_size=3)) if n else []
+    return Cube(algebra.element(value),
+                tuple((v, draw(st.integers(0, 1))) for v in variables))
 
 
 @st.composite
 def _expressions(draw, n, algebra, depth=3):
-    """Trees mixing cube terms (repeated and contradictory literals,
-    constant factors, zero masks) with nodes that are not cube terms:
-    complemented sums and products of sums."""
-    factor = _constants(algebra)
-    if n:
-        factor = st.one_of(factor, _literals(n), _literals(n))
-    cube = st.lists(factor, min_size=1, max_size=4).map(
-        lambda parts: parts[0] if len(parts) == 1 else Prod(tuple(parts)))
+    """Trees of Cube leaves under sums, products and complements; the
+    parts of the top sum that are not cubes take the compositional path."""
     if not depth:
-        return draw(cube)
+        return draw(_cubes(n, algebra))
     kind = draw(st.sampled_from(("cube", "sum", "prod", "not")))
     if kind == "cube":
-        return draw(cube)
+        return draw(_cubes(n, algebra))
     if kind == "not":
         return Not(draw(_expressions(n, algebra, depth - 1)))
     parts = tuple(draw(st.lists(_expressions(n, algebra, depth - 1),
@@ -136,13 +111,16 @@ def test_table_evaluation_matches_ast_interpreter(data):
 
 
 def test_expression_table_checks():
+    def var(i):
+        return Cube(B2.one, ((i, 1),))
+
     with pytest.raises(AlgebraMismatchError):
-        BoolFunction.from_expr(Prod((Var(0), Const(B3.atom(1)))), 2, B2)
+        BoolFunction.from_expr(Prod((var(0), Cube(B3.atom(1)))), 2, B2)
     with pytest.raises(AlgebraMismatchError):
-        BoolFunction.from_expr(Sum((Not(Sum((Var(0), Var(1)))),
-                                    Const(B3.one))), 2, B2)
+        BoolFunction.from_expr(Sum((Not(Sum((var(0), var(1)))),
+                                    Cube(B3.one))), 2, B2)
     with pytest.raises(ValueError, match="variable index 2 outside n=2"):
-        BoolFunction.from_expr(Sum((Var(0), Not(Var(2)))), 2, B2)
+        BoolFunction.from_expr(Sum((var(0), Not(var(2)))), 2, B2)
 
 
 def test_minterm_reconstruction_exhaustive():

@@ -1,10 +1,17 @@
 """Expression grammar: tokens, precedence, aliases, error positions."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from onsolve import Algebra, ExpressionSyntaxError, parse, parse_element
+from onsolve import (Algebra, ExpressionSyntaxError, complement, join, meet,
+                     parse, parse_element)
+from onsolve.function import point_bits
+from onsolve.parsing import Cube
 
-from helpers import B0, B2
+from helpers import B0, B2, EXPR_ALGEBRAS
 
 
 def table_of(text, n, algebra=B0, **kw):
@@ -91,3 +98,160 @@ def test_empty_input():
 def test_algebra_parse_shortcut():
     wide = Algebra(3)
     assert wide.parse("a0 + a2") == wide.element(0b101)
+
+
+# (text, n, algebra, var_names, message, position) for every kind of
+# ExpressionSyntaxError.  In the last four rows a letter carries non-ASCII
+# digits (superscript two, Arabic-Indic three): they name no variable or atom.
+SYNTAX_ERRORS = [
+    ("x1 ?", 1, B0, None, "unexpected character '?'", 3),
+    ("x1 + + x2", 2, B0, None, "unexpected '+'", 5),
+    ("x1)", 1, B0, None, "unexpected ')'", 2),
+    ("(x1 + x2", 2, B0, None, "expected ')'", 8),
+    ("((x1)' x2", 2, B0, None, "expected ')'", 9),
+    ("", 1, B0, None, "unexpected 'end of input'", 0),
+    ("x1 +", 2, B0, None, "unexpected 'end of input'", 4),
+    ("x1 *", 1, B0, None, "unexpected 'end of input'", 4),
+    ("x1 x2 (", 2, B0, None, "unexpected 'end of input'", 7),
+    ("x1", 2, B0, ["p", "q"], "unknown variable 'x1'", 0),
+    ("p + q'r", 2, B0, ["p", "q"], "unknown variable 'r'", 6),
+    ("q", 1, B0, None, "unknown symbol 'q'", 0),
+    ("x3", 2, B0, None, "variable 'x3' outside x1..x2", 0),
+    ("x1 x0", 2, B0, None, "variable 'x0' outside x1..x2", 3),
+    ("x1", 0, B2, None, "variable 'x1' outside x1..x0", 0),
+    ("a2", 1, B2, None, "unknown atom 'a2' (algebra has 2 atoms)", 0),
+    ("p a5'", 1, B2, ["p"], "unknown atom 'a5' (algebra has 2 atoms)", 2),
+    ("x + w", 3, B0, None, "unknown symbol 'w'", 4),
+    ("α", 1, B0, None, "unknown symbol 'α'", 0),
+    ("α γ", 2, B0, ["α", "β"], "unknown variable 'γ'", 2),
+    ("p²", 1, B0, None, "unknown symbol 'p²'", 0),
+    ("p² p³", 2, B0, ["p²", "q"], "unknown variable 'p³'", 3),
+    ("x²", 3, B0, None, "unknown symbol 'x²'", 0),
+    ("x1 x٣", 3, B0, None, "unknown symbol 'x٣'", 3),
+    ("a1² x1", 1, B2, None, "unknown symbol 'a1²'", 0),
+    ("p a1²", 1, B2, ["p"], "unknown variable 'a1²'", 2),
+]
+
+
+@pytest.mark.parametrize("text, n, algebra, names, message, position",
+                         SYNTAX_ERRORS)
+def test_syntax_error_messages(text, n, algebra, names, message, position):
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse(text, n, algebra, var_names=names)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+def test_declared_names_with_unicode_letters_and_digits():
+    got = table_of("α β' + p²", 3, var_names=["α", "β", "p²"])
+    assert got == table_of("x1 x2' + x3", 3)
+
+
+def test_cube_rejects_a_repeated_variable():
+    with pytest.raises(ValueError, match="repeat a variable"):
+        Cube(B0.one, ((0, 1), (0, 0)))
+
+
+# Declared names for the text property: a letter and digits, none starting
+# with the atom letter.
+DECLARED = ["p", "q2", "α", "p²", "ζ10"]
+
+
+@st.composite
+def _structures(draw, n, algebra, depth=3):
+    """An expression as nested tuples: ("const", mask), ("var", i),
+    ("not", node, primes), ("prod", nodes) or ("sum", nodes)."""
+    kinds = ["const", "var", "literal"] if n else ["const"]
+    if depth:
+        kinds += ["prod", "prod", "sum", "not"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "const":
+        return kind, draw(st.sampled_from((0, algebra.full_mask))
+                          | st.integers(0, algebra.full_mask))
+    if kind == "var":
+        return kind, draw(st.integers(0, n - 1))
+    if kind == "literal":
+        return "not", ("var", draw(st.integers(0, n - 1))), draw(st.integers(1, 3))
+    if kind == "not":
+        return kind, draw(_structures(n, algebra, depth - 1)), draw(st.integers(1, 3))
+    return kind, tuple(draw(st.lists(_structures(n, algebra, depth - 1),
+                                     min_size=2, max_size=4)))
+
+
+def _reference(node, args, algebra):
+    """The structure's value at ``args``, straight from meet, join and
+    complement."""
+    kind = node[0]
+    if kind == "const":
+        return algebra.element(node[1])
+    if kind == "var":
+        return args[node[1]]
+    if kind == "not":
+        out = _reference(node[1], args, algebra)
+        for _ in range(node[2]):
+            out = complement(out)
+        return out
+    parts = [_reference(p, args, algebra) for p in node[1]]
+    return functools.reduce(meet if kind == "prod" else join, parts)
+
+
+def _render(draw, node, names, algebra, level=0):
+    """Text of a structure that reads as one unit at ``level`` (0 a sum, 1 a
+    product, 2 a factor): in parentheses where the level needs them, and
+    now and then where it does not."""
+    kind = node[0]
+    if kind == "const":
+        mask = node[1]
+        choices = ["0"] if mask == 0 else []
+        if mask == algebra.full_mask:
+            choices.append("1")
+        if mask:
+            choices.append("+".join(f"a{t}" for t in range(mask.bit_length())
+                                    if mask >> t & 1))
+        text = draw(st.sampled_from(choices))
+        own = 0 if "+" in text else 2
+    elif kind == "var":
+        i = node[1]
+        if names:
+            text = names[i]
+        else:
+            text = draw(st.sampled_from([f"x{i + 1}"] + ["xyzw"[i:i + 1]] * (i < 4)))
+        own = 2
+    elif kind == "not":
+        text = _render(draw, node[1], names, algebra, 2) + "'" * node[2]
+        own = 2
+    elif kind == "prod":
+        text = ""
+        for j, part in enumerate(node[1]):
+            piece = _render(draw, part, names, algebra, 2)
+            if j:
+                # A name swallows the digits after it, so "x1" "1" needs a gap.
+                text += draw(st.sampled_from(
+                    (" ", "*", " * ") if piece[0].isdigit() else ("", " ", "*", " * ")))
+            text += piece
+        own = 1
+    else:
+        text = draw(st.sampled_from(("+", " + "))).join(
+            _render(draw, part, names, algebra, 1) for part in node[1])
+        own = 0
+    if own < level or draw(st.integers(0, 9)) == 0:
+        text = f"({text})"
+    return text
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_parsed_text_matches_direct_evaluation(data):
+    algebra = data.draw(st.sampled_from(EXPR_ALGEBRAS))
+    n = data.draw(st.integers(0, len(DECLARED)))
+    names = DECLARED[:n] if data.draw(st.booleans()) else None
+    node = data.draw(_structures(n, algebra))
+    text = _render(data.draw, node, names, algebra)
+    f = parse(text, n, algebra, var_names=names)
+    for j in range(1 << n):
+        point = tuple(algebra.one if bit else algebra.zero
+                      for bit in point_bits(j, n))
+        assert f.coeff(j) == _reference(node, point, algebra), (text, j)
+    point = tuple(algebra.element(data.draw(st.integers(0, algebra.full_mask)))
+                  for _ in range(n))
+    assert f.evaluate(point) == _reference(node, point, algebra), text
