@@ -4,7 +4,8 @@ Subcommands: ``solve`` (decide f = 0 and print a model), ``check-on``
 (validate an orthonormal set), ``expand`` (coefficient intervals and
 expansion of f over an ON set), ``verify`` (cross-check the solver against
 the brute-force oracle).  Exit codes for ``solve``: 0 consistent,
-1 inconsistent, 2 error.  See the README for the file formats.
+1 inconsistent, 2 error.  See the README for the file formats; both are
+read into one expression tree, ``ProblemFile.expr``.
 """
 
 from __future__ import annotations
@@ -28,15 +29,16 @@ from .orthonormal import (
     verify_on,
 )
 from .oracle import brute_consistency
-from .parsing import ExpressionSyntaxError, parse_element
+from .parsing import (Cube, Expr, ExpressionSyntaxError, Sum, cnf_expr,
+                      parse_element, parse_expr)
 from .solver import (
     Assignment,
     EliminationTrace,
     InapplicableClassError,
-    cnf_function,
+    cnf_function,  # kept as cli.cnf_function for bench/worker.py
     consecutive_split,
     eliminate_blocks,
-    eliminate_cnf,
+    eliminate_cubes,
     extract_solution,
     render_trace,
 )
@@ -53,25 +55,16 @@ class ProblemFile:
     var_names: list[str]
     split: list[list[int]] | None
     onset: OrthonormalSet | None
-    clauses: list[list[int]] | None  # set when the source was DIMACS
-    equation: BoolFunction | None = None  # set otherwise
+    expr: Expr  # a DIMACS file is its cnf_expr
 
     @cached_property
     def function(self) -> BoolFunction:
-        """f; for DIMACS its 2^n table is built on first access."""
-        if self.equation is not None:
-            return self.equation
-        return cnf_function(self.n, self.clauses, self.algebra, var_cap=self.n)
+        """f; its 2^n table is built on first access."""
+        return BoolFunction.from_expr(self.expr, self.n, self.algebra, var_cap=self.n)
 
     def evaluate(self, model: Assignment) -> AlgebraElement:
-        """f at the model.  A DIMACS file is evaluated from its clauses:
-        over {0, 1}, f is 1 exactly when some clause has every literal false."""
-        if self.clauses is None:
-            return self.function.evaluate(tuple(model[i] for i in range(self.n)))
-        bits = [model[i].mask for i in range(self.n)]
-        return self.algebra.element(int(any(
-            all(bits[abs(lit) - 1] == (lit < 0) for lit in clause)
-            for clause in self.clauses)))
+        """f at the model, read off the expression without a table."""
+        return self.expr.evaluate(tuple(model[i] for i in range(self.n)), self.algebra)
 
 
 def default_var_names(n: int) -> list[str]:
@@ -151,7 +144,8 @@ def parse_problem(path: Path, algebra_override: int | None = None,
         algebra = Algebra(1)
         n, clauses = parse_dimacs(text)
         _check_var_cap(n, var_cap)
-        return ProblemFile(algebra, n, default_var_names(n), None, None, clauses)
+        return ProblemFile(algebra, n, default_var_names(n), None, None,
+                           cnf_expr(clauses, algebra))
 
     k = 1
     var_names: list[str] | None = None
@@ -186,9 +180,10 @@ def parse_problem(path: Path, algebra_override: int | None = None,
     algebra = Algebra(k)
     n = len(var_names)
     try:
-        f = parse(equation, n, algebra, var_names=var_names, var_cap=var_cap)
+        expr = parse_expr(equation, n, algebra, var_names)
     except ExpressionSyntaxError as exc:
         raise ProblemFormatError(f"bad equation: {exc}") from exc
+    _check_var_cap(n, var_cap)
 
     split = None
     if blocks_line is not None:
@@ -210,7 +205,7 @@ def parse_problem(path: Path, algebra_override: int | None = None,
             body = chunk[1:-1]
             blocks.append([_integer(s, onset_lineno) for s in body.split(",") if s])
         onset = from_blocks(algebra, n, blocks)
-    return ProblemFile(algebra, n, var_names, split, onset, None, f)
+    return ProblemFile(algebra, n, var_names, split, onset, expr)
 
 
 def _var_names(rest: str, lineno: int) -> list[str]:
@@ -286,8 +281,11 @@ def _solve_problem(problem: ProblemFile,
     split = problem.split
     if split is None:
         split = consecutive_split(problem.n, args.block_size)
-    if problem.clauses is not None and problem.n and args.phi_policy == "minterm":
-        trace = eliminate_cnf(problem.n, problem.clauses, split)
+    expr = problem.expr
+    cubes = expr.parts if isinstance(expr, Sum) else (expr,)
+    if (problem.n and args.phi_policy == "minterm"
+            and all(isinstance(c, Cube) for c in cubes)):
+        trace = eliminate_cubes(problem.n, problem.algebra, cubes, split)
     else:
         trace = eliminate_blocks(problem.function, split, phi_policy=args.phi_policy)
     return trace, extract_solution(trace) if trace.consistent else None
@@ -372,7 +370,7 @@ def cmd_verify(args) -> int:
         _check_var_cap(n, args.var_cap)
         jobs.append((f"random-{i + 1}",
                      ProblemFile(algebra, n, default_var_names(n),
-                                 None, None, clauses)))
+                                 None, None, cnf_expr(clauses, algebra))))
     if not jobs:
         print("nothing to verify", file=sys.stderr)
         return 2

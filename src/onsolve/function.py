@@ -93,8 +93,7 @@ class BoolFunction:
         if not 0 <= i < n:
             raise IndexError(f"variable index {i} out of range for n={n}")
         table = np.zeros(1 << n, dtype=_dtype_for(algebra))
-        one = _one_value(algebra)
-        _write_cubes(table, range(n), [((i, 1),)], [one], one)
+        _write_cubes(table, range(n), [Cube(algebra.one, ((i, 1),))], {}, algebra)
         return cls(algebra, n, table)
 
     @classmethod
@@ -246,22 +245,37 @@ class BoolFunction:
         return f"<BoolFunction n={self.n} over 2^{self.algebra.atom_count}: {body}>"
 
 
-def _write_cubes(table: np.ndarray, variables, cubes, values, one) -> None:
-    """OR ``values[i]`` into every entry of cube i, in place.  The flat
-    table ranges over ``variables`` (the first is the most significant bit),
-    and a cube is (variable, bit) pairs over them.  A value equal to the
-    algebra's 1 (``one``) is assigned, which is the same and cheaper."""
+def _write_cubes(table: np.ndarray, variables, cubes, point: dict[int, int],
+                 algebra: Algebra) -> None:
+    """OR each ``Cube`` term into the entries of its cube, in place.  The
+    flat table ranges over ``variables`` (the first is the most significant
+    bit).  A literal on any other variable v is set by ``point[v]``, an atom
+    mask that the term's value meets.  A value of 1 is assigned, which is
+    the same and cheaper."""
     variables = tuple(variables)
     view = table.reshape((2,) * len(variables))
     axis = {v: a for a, v in enumerate(variables)}
-    for cube, value in zip(cubes, values):
+    full, one = algebra.full_mask, _one_value(algebra)
+    for cube in cubes:
+        mask = cube.value.mask
         sel = [slice(None)] * len(variables)
-        for v, x in cube:
-            sel[axis[v]] = x
-        if value == one:
-            view[tuple(sel)] = value
-        else:
-            view[tuple(sel)] |= value
+        for v, bit in cube.lits:
+            if v in axis:
+                sel[axis[v]] = bit
+            else:
+                mask &= point[v] if bit else ~point[v]
+        if mask == full:
+            view[tuple(sel)] = one
+        elif mask:
+            view[tuple(sel)] |= _mask_to_value(algebra, mask)
+
+
+def _check_cube(cube: Cube, n: int, algebra: Algebra) -> None:
+    if cube.value.algebra != algebra:
+        raise AlgebraMismatchError("constant from a different algebra")
+    for v, _ in cube.lits:
+        if v >= n:
+            raise ValueError(f"variable index {v} outside n={n}")
 
 
 def _expr_table(expr: Expr, n: int, algebra: Algebra) -> np.ndarray:
@@ -270,20 +284,14 @@ def _expr_table(expr: Expr, n: int, algebra: Algebra) -> np.ndarray:
     sum is one strided write into a zeros buffer; any other part is built
     compositionally."""
     out = np.zeros(1 << n, dtype=_dtype_for(algebra))
-    cubes, values = [], []
+    cubes = []
     for part in expr.parts if isinstance(expr, Sum) else (expr,):
         if not isinstance(part, Cube):
             out |= _composite_table(part, n, algebra)
             continue
-        if part.value.algebra != algebra:
-            raise AlgebraMismatchError("constant from a different algebra")
-        for v, _ in part.lits:
-            if v >= n:
-                raise ValueError(f"variable index {v} outside n={n}")
-        if part.value.mask:
-            cubes.append(part.lits)
-            values.append(_mask_to_value(algebra, part.value.mask))
-    _write_cubes(out, range(n), cubes, values, _one_value(algebra))
+        _check_cube(part, n, algebra)
+        cubes.append(part)
+    _write_cubes(out, range(n), cubes, {}, algebra)
     return out
 
 
@@ -364,8 +372,8 @@ def term_to_function(t: Term, n: int, algebra: Algebra,
     if t.width > n:
         raise ValueError(f"term over {t.width} variables does not fit n={n}")
     table = np.zeros(1 << n, dtype=_dtype_for(algebra))
-    one = _one_value(algebra)
-    _write_cubes(table, range(n), [t.fixed_vars().items()], [one], one)
+    _write_cubes(table, range(n), [Cube(algebra.one, tuple(t.fixed_vars().items()))],
+                 {}, algebra)
     return BoolFunction(algebra, n, table)
 
 

@@ -306,19 +306,25 @@ def format_on_set(onset: OrthonormalSet) -> str:
 
 
 def parse_on_set(text: str, algebra: Algebra) -> OrthonormalSet:
-    records = [r.strip() for chunk in text.splitlines()
-               for r in chunk.split(";")]
-    records = [r for r in records if r and not r.startswith("#")]
+    records = [(lineno, r.strip()) for lineno, line in enumerate(text.splitlines(), 1)
+               for r in line.split(";")]
+    records = [(lineno, r) for lineno, r in records if r and not r.startswith("#")]
     if not records:
         raise ValueError("empty ON-set description")
-    head = records[0].split()
+    lineno, head = records[0][0], records[0][1].split()
     if len(head) != 2:
         raise ValueError('ON-set header must be "m n"')
+    for token in head:
+        try:
+            int(token)
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: expected an integer, got {token!r}") from None
     m, n = int(head[0]), int(head[1])
     if len(records) - 1 != m:
         raise ValueError(f"expected {m} block records, got {len(records) - 1}")
     blocks: list[list[int]] = [[]] * m
-    for record in records[1:]:
+    for _, record in records[1:]:
         match = _BLOCK_RE.match(record)
         if not match:
             raise ValueError(f"malformed block record {record!r}")

@@ -23,7 +23,8 @@ A product of cubes is one cube (values meet, and a variable met in both
 polarities makes the value 0); a prime on a constant or on a bare literal
 is a cube; a sum of constants is a constant.  ``Sum``, ``Prod`` and ``Not``
 nodes remain only for other shapes, such as a complemented sum that holds
-variables.
+variables.  A DIMACS clause list is read into the same tree by ``cnf_expr``:
+a ``Sum`` of one ``Cube`` per clause.
 """
 
 from __future__ import annotations
@@ -266,6 +267,18 @@ def parse_expr(text: str, n: int, algebra: Algebra,
         if len(names) != n:
             raise ValueError("variable names must be distinct")
     return _Parser(text, n, algebra, names).parse()
+
+
+def cnf_expr(clauses, algebra: Algebra) -> Sum:
+    """f of a DIMACS clause list, 1 where some clause is false: one
+    ``Cube(1, lits)`` per clause, on the points that falsify it.  A clause
+    holding a variable in both polarities is always true and has no cube."""
+    one, parts = algebra.one, []
+    for clause in clauses:
+        lits = {abs(lit) - 1: int(lit < 0) for lit in clause}
+        if len(lits) == len(set(clause)):
+            parts.append(Cube(one, tuple(lits.items())))
+    return Sum(tuple(parts))
 
 
 def parse_element(text: str, algebra: Algebra) -> AlgebraElement:

@@ -7,20 +7,20 @@ eliminant over the remaining variables; iterating over a variable split
 drives the table down to a constant whose vanishing decides consistency.
 Back-substitution then rebuilds a concrete solution stage by stage, using the
 explicit solutions of the linear ON equation, of minterm systems, and of
-systems phi_i(X) = beta_i defined by an ON set.
+systems phi_i(X) = beta_i defined by an ON set.  For a sum of cube terms,
+``eliminate_cubes`` writes stage 1 straight from the terms.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .algebra import (Algebra, AlgebraElement, AlgebraMismatchError,
                       complement, meet, meet_all)
-from .function import (DEFAULT_VAR_CAP, BoolFunction, _check_var_cap, _dtype_for,
+from .function import (DEFAULT_VAR_CAP, BoolFunction, _check_cube, _dtype_for,
                        _mask_to_value, _one_value, _write_cubes, point_bits)
 from .orthonormal import (
     OrthonormalSet,
@@ -29,12 +29,10 @@ from .orthonormal import (
     ladder_terms,
     term_set,
 )
+from .parsing import Cube, cnf_expr
 
 Assignment = dict[int, AlgebraElement]
 """Solution map: 0-based variable index -> element."""
-
-Cube = tuple[tuple[int, int], ...]
-"""(variable, bit) pairs, distinct variables: the points where a clause is false."""
 
 
 class InapplicableClassError(ValueError):
@@ -326,24 +324,24 @@ class EliminationStage:
 
 
 @dataclass(frozen=True)
-class ClauseStage:
-    """Stage 1 of a CNF under the minterm policy, computed from the clauses:
-    it keeps the clause cubes instead of a coefficient table."""
+class CubeStage:
+    """Stage 1 of a sum of cube terms under the minterm policy, when its
+    table is larger than one slab: it keeps the ``Cube`` terms instead."""
 
     block: tuple[int, ...]
     remaining: tuple[int, ...]
     phi: OrthonormalSet               # the block minterms
-    cubes: tuple[Cube, ...]           # where each clause is false
+    cubes: tuple[Cube, ...]
     eliminant: BoolFunction
     zero_coefficients: int            # block points where f vanishes identically
 
     def constants_at(self, values: dict[int, int]) -> np.ndarray:
-        """f at each block point with the remaining variables at the 0/1
-        ``values``, written from the cubes that point leaves live."""
-        point = {i: values[i] for i in self.remaining}
-        constants = np.zeros(self.phi.order, dtype=bool)
-        _write_cubes(constants, self.block, _restrict(self.cubes, point),
-                     repeat(True), True)
+        """f at each block point with each remaining variable i at the atom
+        mask ``values[i]`` (``values`` holds no block variable): the OR of
+        the cubes restricted to that point."""
+        algebra = self.eliminant.algebra
+        constants = np.zeros(self.phi.order, dtype=_dtype_for(algebra))
+        _write_cubes(constants, self.block, self.cubes, values, algebra)
         return constants
 
 
@@ -355,7 +353,7 @@ class EliminationTrace:
     n: int
     split: tuple[tuple[int, ...], ...]
     policy: str
-    stages: tuple[EliminationStage | ClauseStage, ...]
+    stages: tuple[EliminationStage | CubeStage, ...]
     final: AlgebraElement
 
     @property
@@ -412,87 +410,68 @@ def eliminate_blocks(f: BoolFunction, split,
 
 
 # ---------------------------------------------------------------------------
-# CNF: the clause stage
+# Sums of cube terms: the cube stage
 
 # A slab of 2^20 entries (1 MiB) or more keeps numpy's per-call cost small.
 _SLAB_ENTRIES = 1 << 20
-
-
-def _clause_cubes(clauses) -> tuple[Cube, ...]:
-    """The cube of each DIMACS clause; a clause holding a variable in both
-    polarities is always true and has none."""
-    cubes = []
-    for clause in clauses:
-        cube: dict[int, int] = {}
-        for lit in clause:
-            if cube.setdefault(abs(lit) - 1, int(lit < 0)) != int(lit < 0):
-                break
-        else:
-            cubes.append(tuple(sorted(cube.items())))
-    return tuple(cubes)
-
-
-def _restrict(cubes, fixed: dict[int, int]) -> list[Cube]:
-    """The cubes that meet the partial 0/1 point ``fixed``, with its
-    variables removed."""
-    return [tuple((v, x) for v, x in cube if v not in fixed)
-            for cube in cubes if all(fixed.get(v, x) == x for v, x in cube)]
 
 
 def cnf_function(n: int, clauses, algebra: Algebra,
                  var_cap: int = DEFAULT_VAR_CAP) -> BoolFunction:
     """f with f = 0 exactly on satisfying assignments: 1 on the cube where
     some clause is false.  A tautological clause contributes nothing."""
-    _check_var_cap(n, var_cap)
-    table = np.zeros(1 << n, dtype=_dtype_for(algebra))
-    one = _one_value(algebra)
-    _write_cubes(table, range(n), _clause_cubes(clauses), repeat(one), one)
-    return BoolFunction(algebra, n, table)
+    return BoolFunction.from_expr(cnf_expr(clauses, algebra), n, algebra,
+                                  var_cap=var_cap)
 
 
-def eliminate_cnf(n: int, clauses, split) -> EliminationTrace:
-    """``eliminate_blocks(cnf_function(n, clauses, B0), split)`` under the
-    minterm policy, with stage 1 computed from the clauses.
+def eliminate_cubes(n: int, algebra: Algebra, cubes, split) -> EliminationTrace:
+    """``eliminate_blocks(BoolFunction.from_expr(Sum(cubes), ...), split)``
+    under the minterm policy, with stage 1 computed from the ``Cube`` terms.
 
-    Row A of stage 1 is f with the first block at A.  The rows are written
-    in slabs, runs of whole rows that share their leading block bits (the
-    prefix): the clauses without a prefix variable go once into a common
-    buffer, and each slab is a copy of it plus the clauses its prefix
-    leaves live.  The eliminant is the AND of the rows, and the 2^n table
-    is never held.
+    Row A of stage 1 is f with the first block at A, and the eliminant is
+    the AND of the rows.  Rows that fit in one slab are written at once and
+    kept as an ``EliminationStage``.  Larger ones are written in slabs, runs
+    of whole rows that share their leading block bits (the prefix): a copy
+    of a common buffer, which holds the cubes without a prefix variable,
+    plus the cubes the prefix leaves live.  Stage 1 is then a ``CubeStage``.
     """
     split = _check_split(n, split)
     if not split:
-        raise ValueError("the clause stage needs at least one variable")
-    algebra = Algebra(1)
+        raise ValueError("the cube stage needs at least one variable")
+    cubes = tuple(cubes)
+    for cube in cubes:
+        _check_cube(cube, n, algebra)
     block = split[0]
     remaining = tuple(i for i in range(n) if i not in block)
-    cubes = _clause_cubes(clauses)
+    phi = minterm_set(len(block), algebra, var_cap=len(block))
     # Each slab holds 2^free rows of 2^len(remaining) entries.
     free = min(len(block), max(0, (_SLAB_ENTRIES - 1).bit_length() - len(remaining)))
     prefix = block[:len(block) - free]
     variables = block[len(block) - free:] + remaining
-    common = np.zeros(1 << len(variables), dtype=bool)
+    common = np.zeros(1 << len(variables), dtype=_dtype_for(algebra))
     _write_cubes(common, variables,
-                 [c for c in cubes if not any(v in prefix for v, _ in c)],
-                 repeat(True), True)
-    live = [c for c in cubes if any(v in prefix for v, _ in c)]
-    slab = np.empty_like(common) if prefix else common
-    eliminant = np.ones(1 << len(remaining), dtype=bool)
-    zero = 0
-    for p in range(1 << len(prefix)):
-        if prefix:
+                 [c for c in cubes if not any(v in prefix for v, _ in c.lits)],
+                 {}, algebra)
+    if not prefix:
+        table = common.reshape(phi.order, -1)
+        table.flags.writeable = False
+        g = BoolFunction(algebra, len(remaining), np.bitwise_and.reduce(table, axis=0))
+        first = EliminationStage(block, remaining, phi, table, g)
+    else:
+        live = [c for c in cubes if any(v in prefix for v, _ in c.lits)]
+        slab = np.empty_like(common)
+        eliminant = np.full(1 << len(remaining), _one_value(algebra), dtype=common.dtype)
+        zero = 0
+        for p in range(1 << len(prefix)):
             np.copyto(slab, common)
-            _write_cubes(slab, variables,
-                         _restrict(live, dict(zip(prefix, point_bits(p, len(prefix))))),
-                         repeat(True), True)
-        rows = slab.reshape(1 << free, -1)
-        eliminant &= np.bitwise_and.reduce(rows, axis=0)
-        zero += int(np.count_nonzero(~rows.any(axis=1)))
-    g = BoolFunction(algebra, len(remaining), eliminant)
-    first = ClauseStage(block, remaining, minterm_set(len(block), algebra,
-                                                      var_cap=len(block)),
-                        cubes, g, zero)
+            point = {v: bit * algebra.full_mask
+                     for v, bit in zip(prefix, point_bits(p, len(prefix)))}
+            _write_cubes(slab, variables, live, point, algebra)
+            rows = slab.reshape(1 << free, -1)
+            eliminant &= np.bitwise_and.reduce(rows, axis=0)
+            zero += int(np.count_nonzero(~rows.any(axis=1)))
+        g = BoolFunction(algebra, len(remaining), eliminant)
+        first = CubeStage(block, remaining, phi, cubes, g, zero)
     stages, g = _eliminate_stages(g, remaining, split[1:], "minterm")
     return EliminationTrace(algebra, n, split, "minterm",
                             (first, *stages), g.coeff(0))

@@ -1,10 +1,11 @@
 """End-to-end command-line behavior on the bundled instances."""
 
+import random
 from pathlib import Path
 
 import pytest
 
-from onsolve import cli, solver
+from onsolve import cli, function
 from onsolve.cli import (
     ProblemFormatError,
     cnf_function,
@@ -43,14 +44,36 @@ GOLDEN_MODELS = [
     (("triangle.cnf",), "model: x1=1 x2=0 x3=1 x4=0"),
 ]
 
+# Exact `solve --trace` output for every problem file in instances/.
 GOLDEN_TRACES = {
-    "walkthrough3.txt": """\
+    "blocks_split.txt": """\
 CONSISTENT
-model: x=0 y=1 z=1
-elimination trace: n=3, algebra=2^1, policy=minterm
-  stage 1: eliminate {y, z} via ON order 4; coefficients: 4 (0 zero); eliminant over 1 vars (2 entries, digest 3f295464)
-  stage 2: eliminate {x} via ON order 2; coefficients: 2 (1 zero); eliminant over 0 vars (1 entries, digest 5ba93c9d)
+model: x1=1 x2=1 x3=0 x4=1
+elimination trace: n=4, algebra=2^1, policy=minterm
+  stage 1: eliminate {x1, x3} via ON order 4; coefficients: 4 (0 zero); eliminant over 2 vars (4 entries, digest 3f096541)
+  stage 2: eliminate {x2, x4} via ON order 4; coefficients: 4 (3 zero); eliminant over 0 vars (1 entries, digest 5ba93c9d)
   final constant: 0 -> CONSISTENT
+""",
+    "chain5.txt": """\
+CONSISTENT
+model: x1=1 x2=1 x3=1 x4=1 x5=1
+elimination trace: n=5, algebra=2^1, policy=minterm
+  stage 1: eliminate {x1, x2, x3, x4} via ON order 16; coefficients: 16 (0 zero); eliminant over 1 vars (2 entries, digest 1489f923)
+  stage 2: eliminate {x5} via ON order 2; coefficients: 2 (2 zero); eliminant over 0 vars (1 entries, digest 5ba93c9d)
+  final constant: 0 -> CONSISTENT
+""",
+    "general_b2.txt": """\
+CONSISTENT
+model: x1=a1
+elimination trace: n=1, algebra=2^2, policy=minterm
+  stage 1: eliminate {x1} via ON order 2; coefficients: 2 (0 zero); eliminant over 0 vars (1 entries, digest 05fe4057)
+  final constant: 0 -> CONSISTENT
+""",
+    "general_b2_unsat.txt": """\
+INCONSISTENT
+elimination trace: n=1, algebra=2^2, policy=minterm
+  stage 1: eliminate {x1} via ON order 2; coefficients: 2 (0 zero); eliminant over 0 vars (1 entries, digest 3da89ee2)
+  final constant: a0 -> INCONSISTENT
 """,
     "general_b3.txt": """\
 CONSISTENT
@@ -59,11 +82,80 @@ elimination trace: n=2, algebra=2^3, policy=minterm
   stage 1: eliminate {x1, x2} via ON order 4; coefficients: 4 (1 zero); eliminant over 0 vars (1 entries, digest 05fe4057)
   final constant: 0 -> CONSISTENT
 """,
+    "implication.txt": """\
+CONSISTENT
+model: x=1 y=1 z=1
+elimination trace: n=3, algebra=2^1, policy=minterm
+  stage 1: eliminate {x, y, z} via ON order 8; coefficients: 8 (1 zero); eliminant over 0 vars (1 entries, digest 5ba93c9d)
+  final constant: 0 -> CONSISTENT
+""",
+    "majority.txt": """\
+CONSISTENT
+model: x=1 y=0 z=0
+elimination trace: n=3, algebra=2^1, policy=minterm
+  stage 1: eliminate {x, y, z} via ON order 8; coefficients: 8 (4 zero); eliminant over 0 vars (1 entries, digest 5ba93c9d)
+  final constant: 0 -> CONSISTENT
+""",
+    "one.txt": """\
+INCONSISTENT
+elimination trace: n=2, algebra=2^1, policy=minterm
+  stage 1: eliminate {x1, x2} via ON order 4; coefficients: 4 (0 zero); eliminant over 0 vars (1 entries, digest bf8b4530)
+  final constant: 1 -> INCONSISTENT
+""",
+    "onset_embedded.txt": """\
+CONSISTENT
+model: x1=1 x2=1
+elimination trace: n=2, algebra=2^1, policy=minterm
+  stage 1: eliminate {x1, x2} via ON order 4; coefficients: 4 (2 zero); eliminant over 0 vars (1 entries, digest 5ba93c9d)
+  final constant: 0 -> CONSISTENT
+""",
+    "walkthrough3.txt": """\
+CONSISTENT
+model: x=0 y=1 z=1
+elimination trace: n=3, algebra=2^1, policy=minterm
+  stage 1: eliminate {y, z} via ON order 4; coefficients: 4 (0 zero); eliminant over 1 vars (2 entries, digest 3f295464)
+  stage 2: eliminate {x} via ON order 2; coefficients: 2 (1 zero); eliminant over 0 vars (1 entries, digest 5ba93c9d)
+  final constant: 0 -> CONSISTENT
+""",
+    "xnor_pair.txt": """\
+CONSISTENT
+model: x1=1 x2=0
+elimination trace: n=2, algebra=2^1, policy=minterm
+  stage 1: eliminate {x1, x2} via ON order 4; coefficients: 4 (2 zero); eliminant over 0 vars (1 entries, digest 5ba93c9d)
+  final constant: 0 -> CONSISTENT
+""",
+    "xor3.txt": """\
+CONSISTENT
+model: x=1 y=1 z=0
+elimination trace: n=3, algebra=2^1, policy=minterm
+  stage 1: eliminate {x, y, z} via ON order 8; coefficients: 8 (4 zero); eliminant over 0 vars (1 entries, digest 5ba93c9d)
+  final constant: 0 -> CONSISTENT
+""",
+    "zero.txt": """\
+CONSISTENT
+model: x1=1 x2=1
+elimination trace: n=2, algebra=2^1, policy=minterm
+  stage 1: eliminate {x1, x2} via ON order 4; coefficients: 4 (4 zero); eliminant over 0 vars (1 entries, digest 5ba93c9d)
+  final constant: 0 -> CONSISTENT
+""",
+    "contra2.cnf": """\
+INCONSISTENT
+elimination trace: n=2, algebra=2^1, policy=minterm
+  stage 1: eliminate {x1, x2} via ON order 4; coefficients: 4 (0 zero); eliminant over 0 vars (1 entries, digest bf8b4530)
+  final constant: 1 -> INCONSISTENT
+""",
     "empty.cnf": """\
 CONSISTENT
 model:
 elimination trace: n=0, algebra=2^1, policy=minterm
   final constant: 0 -> CONSISTENT
+""",
+    "php32.cnf": """\
+INCONSISTENT
+elimination trace: n=6, algebra=2^1, policy=minterm
+  stage 1: eliminate {x1, x2, x3, x4} via ON order 16; coefficients: 16 (0 zero); eliminant over 2 vars (4 entries, digest a93755f8)
+  stage 2: eliminate {x5, x6} via ON order 4; coefficients: 4 (0 zero); eliminant over 0 vars (1 entries, digest bf8b4530)
+  final constant: 1 -> INCONSISTENT
 """,
     "rand8_sat.cnf": """\
 CONSISTENT
@@ -87,6 +179,12 @@ elimination trace: n=4, algebra=2^1, policy=minterm
   stage 1: eliminate {x1, x2, x3, x4} via ON order 16; coefficients: 16 (2 zero); eliminant over 0 vars (1 entries, digest 5ba93c9d)
   final constant: 0 -> CONSISTENT
 """,
+    "unsat1.cnf": """\
+INCONSISTENT
+elimination trace: n=1, algebra=2^1, policy=minterm
+  stage 1: eliminate {x1} via ON order 2; coefficients: 2 (0 zero); eliminant over 0 vars (1 entries, digest bf8b4530)
+  final constant: 1 -> INCONSISTENT
+""",
 }
 
 
@@ -97,25 +195,54 @@ def test_solve_worked_example(capsys):
         assert out.splitlines() == ["CONSISTENT", model], (name, flags)
 
 
+def _exit_code(out):
+    return 1 if out.startswith("INCONSISTENT") else 0
+
+
 def test_solve_trace_flag(capsys):
+    assert sorted(GOLDEN_TRACES) == sorted(
+        p.name for p in INSTANCES.iterdir() if p.suffix in (".txt", ".cnf"))
     for name, expected in GOLDEN_TRACES.items():
         code, out, _ = run(capsys, "solve", str(INSTANCES / name), "--trace")
-        assert (code, out) == (0, expected), name
+        assert (code, out) == (_exit_code(expected), expected), name
 
 
-def test_solve_cnf_never_builds_the_table(capsys, monkeypatch):
-    # Under the minterm policy a DIMACS solve computes stage 1 from the
-    # clauses; only n = 0 and the ladder policy build the dense table.
-    def cnf_function(*args, **kwargs):
+def _forbid_tables(monkeypatch):
+    """Make every expression table build (the one table writer) fail."""
+    def expr_table(*args, **kwargs):
         raise AssertionError("dense table built")
 
-    monkeypatch.setattr(cli, "cnf_function", cnf_function)
-    monkeypatch.setattr(solver, "cnf_function", cnf_function)
-    for name in ("rand8_sat.cnf", "single.cnf", "triangle.cnf"):
+    monkeypatch.setattr(function, "_expr_table", expr_table)
+
+
+def test_solve_cnf_never_builds_the_table(capsys, monkeypatch, tmp_path):
+    # Under the minterm policy a solve of a sum of cube terms, DIMACS or
+    # expression file, computes stage 1 from the terms, and so does a model
+    # check; n = 0, other shapes and the ladder policy build the table.
+    shape = tmp_path / "not_cubes.txt"
+    shape.write_text("vars 3\nequation (x1 + x2)'*x3\n")
+    assert run(capsys, "solve", str(shape), "--trace")[:2] == (0, """\
+CONSISTENT
+model: x1=1 x2=1 x3=1
+elimination trace: n=3, algebra=2^1, policy=minterm
+  stage 1: eliminate {x1, x2, x3} via ON order 8; coefficients: 8 (7 zero); eliminant over 0 vars (1 entries, digest 5ba93c9d)
+  final constant: 0 -> CONSISTENT
+""")
+    _forbid_tables(monkeypatch)
+    model_file = tmp_path / "model.txt"
+    for name, expected in GOLDEN_TRACES.items():
+        if name == "empty.cnf":
+            continue
         code, out, _ = run(capsys, "solve", str(INSTANCES / name), "--trace")
-        assert (code, out) == (0, GOLDEN_TRACES[name]), name
-    code, out, _ = run(capsys, "solve", str(INSTANCES / "php32.cnf"))
-    assert (code, out) == (1, "INCONSISTENT\n")
+        assert (code, out) == (_exit_code(expected), expected), name
+        if code == 0:
+            model_file.write_text(out.splitlines()[1].removeprefix("model:"))
+            assert run(capsys, "solve", str(INSTANCES / name), "--check-model",
+                       str(model_file)) == (0, "model verifies: f = 0\n", ""), name
+    with pytest.raises(AssertionError, match="dense table built"):
+        main(["solve", str(INSTANCES / "empty.cnf")])
+    with pytest.raises(AssertionError, match="dense table built"):
+        main(["solve", str(shape)])
 
 
 def test_solve_tautological_clause(capsys, tmp_path):
@@ -208,11 +335,7 @@ def test_check_model_cnf_evaluates_clauses(capsys, monkeypatch, tmp_path):
     files += [problem, empty_clause]
     dense = {path: parse_problem(path).function for path in files}
 
-    def cnf_function(*args, **kwargs):
-        raise AssertionError("dense table built")
-
-    monkeypatch.setattr(cli, "cnf_function", cnf_function)
-    monkeypatch.setattr(solver, "cnf_function", cnf_function)
+    _forbid_tables(monkeypatch)
     for path in files:
         parsed = parse_problem(path)
         for j in range(1 << parsed.n):
@@ -267,6 +390,24 @@ def test_check_on_diagnoses_repeats(capsys, tmp_path):
     assert run(capsys, "check-on", str(huge))[:2] == (
         1, "not orthonormal: NotNormalError: members do not sum to the "
            "constant 1\n")
+
+
+# A partition-form header field that is not an integer, with the line it is
+# on; `²` is a digit to str.isdigit, so it takes the partition path too.
+BAD_HEADERS = [
+    ("2 x\nM1={0,1}\nM2={2,3}\n", "line 1: expected an integer, got 'x'"),
+    ("² 2\nM1={0,1}\nM2={2,3}\n", "line 1: expected an integer, got '²'"),
+    ("# two blocks\n\n2 2x\nM1={0,1}\nM2={2,3}\n",
+     "line 3: expected an integer, got '2x'"),
+    ("# one block\n\n\n1 y; M1={0,1}\n", "line 4: expected an integer, got 'y'"),
+]
+
+
+def test_check_on_reports_bad_header_line(capsys, tmp_path):
+    onset = tmp_path / "bad.txt"
+    for text, message in BAD_HEADERS:
+        onset.write_text(text)
+        assert run(capsys, "check-on", str(onset)) == (2, "", f"error: {message}\n"), text
 
 
 def test_expand_lists_intervals(capsys):
@@ -405,6 +546,24 @@ def test_problem_file_validation(tmp_path):
     with pytest.raises(ProblemFormatError,
                        match="line 2: expected an integer, got 'two'"):
         load_on_set(onset_file, None)
+
+
+def test_problem_file_evaluate_matches_table(tmp_path):
+    # ProblemFile.evaluate reads the expression without a table; it must
+    # agree with the table at any point of B^n, for cube sums and for other
+    # shapes.
+    shape = tmp_path / "not_cubes.txt"
+    shape.write_text("vars 3\nequation (x1 + a0*x2)'*x3 + a1*x1'\n")
+    problems = [parse_problem(path) for path in sorted(INSTANCES.glob("*.txt"))]
+    problems += [parse_problem(shape, k) for k in (2, 3)]
+    rng = random.Random("evaluate")
+    for problem in problems:
+        algebra = problem.algebra
+        for _ in range(20):
+            point = tuple(algebra.element(rng.getrandbits(algebra.atom_count))
+                          for _ in range(problem.n))
+            assert problem.evaluate(dict(enumerate(point))) == \
+                problem.function.evaluate(point), (problem, point)
 
 
 def test_problem_file_blocks_and_onset():

@@ -8,6 +8,7 @@ import pytest
 from onsolve import (
     AlgebraMismatchError,
     BoolFunction,
+    CubeStage,
     InapplicableClassError,
     InconsistentTraceError,
     b0_coefficient,
@@ -20,7 +21,7 @@ from onsolve import (
     consistency_on_class,
     delta_tuple,
     eliminate_blocks,
-    eliminate_cnf,
+    eliminate_cubes,
     eliminate_variable,
     extract_solution,
     from_blocks,
@@ -36,6 +37,7 @@ from onsolve import (
 )
 from onsolve import solver
 from onsolve.algebra import Algebra, join_all, meet, meet_all
+from onsolve.parsing import Cube, Sum, cnf_expr
 from onsolve.solver import is_on_system
 
 from helpers import (
@@ -572,8 +574,7 @@ def test_render_trace_mentions_stages():
 
 
 # ---------------------------------------------------------------------------
-# the clause stage
-
+# the cube stage
 
 def _messy_cnf(n, rng):
     """Random clauses of width 1..4 drawn with replacement, so they hold
@@ -586,6 +587,33 @@ def _messy_cnf(n, rng):
     return clauses
 
 
+def _messy_cubes(n, algebra, rng):
+    """The cubes of a messy CNF with values that are often 0 or 1, and a
+    constant term now and then."""
+    def value():
+        pick = rng.random()
+        if pick < 0.2:
+            return algebra.zero
+        return algebra.one if pick < 0.5 else rand_element(algebra, rng)
+
+    cubes = [Cube(value(), c.lits) for c in cnf_expr(_messy_cnf(n, rng), algebra).parts]
+    if rng.random() < 0.2:
+        cubes.insert(rng.randint(0, len(cubes)), Cube(value()))
+    return cubes
+
+
+def _plain_cnf(n, algebra, rng):
+    return list(cnf_expr(_messy_cnf(n, rng), algebra).parts)
+
+
+# (algebra, cases, largest n, term maker): DIMACS clause lists as
+# `onsolve solve` reads them, then cube sums over the bool, uint64 and
+# object tables.
+CUBE_CASES = ((B0, 80, 12, _plain_cnf),
+              *((a, 40, 10, _messy_cubes)
+                for a in (B0, B2, B3, Algebra(65, atom_cap=65))))
+
+
 def _random_split(n, rng):
     variables = list(range(n))
     if rng.random() < 0.5:
@@ -595,34 +623,49 @@ def _random_split(n, rng):
 
 
 @pytest.mark.parametrize("slab", [1, 16, 256, solver._SLAB_ENTRIES])
-def test_eliminate_cnf_matches_dense_stages(monkeypatch, slab):
+def test_eliminate_cubes_matches_dense_stages(monkeypatch, slab):
     # Small slabs make the per-row and multi-slab paths run at n <= 12.
     monkeypatch.setattr(solver, "_SLAB_ENTRIES", slab)
-    rng = random.Random(f"clause-stage:{slab}")
-    consistent = 0
-    for _ in range(80):
-        n = rng.randint(1, 12)
-        clauses = _messy_cnf(n, rng)
-        split = _random_split(n, rng)
-        dense = eliminate_blocks(cnf_function(n, clauses, B0), split)
-        fast = eliminate_cnf(n, clauses, split)
-        assert len(fast.stages) == len(dense.stages)
-        for got, want in zip(fast.stages, dense.stages):
-            assert (got.block, got.remaining) == (want.block, want.remaining)
-            assert np.array_equal(got.eliminant.table, want.eliminant.table)
-            assert got.zero_coefficients == want.zero_coefficients
-        assert fast.final == dense.final
-        if dense.consistent:
-            consistent += 1
-            assert extract_solution(fast) == extract_solution(dense)
-    assert consistent >= 20
+    rng = random.Random(f"cube-stage:{slab}")
+    for algebra, cases, largest, make in CUBE_CASES:
+        consistent = 0
+        for _ in range(cases):
+            n = rng.randint(1, largest)
+            cubes = make(n, algebra, rng)
+            split = _random_split(n, rng)
+            f = BoolFunction.from_expr(Sum(tuple(cubes)), n, algebra)
+            dense = eliminate_blocks(f, split)
+            fast = eliminate_cubes(n, algebra, cubes, split)
+            # A table of one slab or less is kept as a dense stage.
+            assert isinstance(fast.stages[0], CubeStage) == (1 << n > slab)
+            assert len(fast.stages) == len(dense.stages)
+            for got, want in zip(fast.stages, dense.stages):
+                assert (got.block, got.remaining) == (want.block, want.remaining)
+                assert np.array_equal(got.eliminant.table, want.eliminant.table)
+                assert got.zero_coefficients == want.zero_coefficients
+            assert fast.final == dense.final
+            for _ in range(3):
+                values = {i: rng.getrandbits(algebra.atom_count)
+                          for i in dense.stages[0].remaining}
+                got = fast.stages[0].constants_at(values)
+                want = dense.stages[0].constants_at(values)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            if dense.consistent:
+                consistent += 1
+                assert extract_solution(fast) == extract_solution(dense)
+        assert consistent >= 20, algebra
 
 
-def test_eliminate_cnf_validation():
+def test_eliminate_cubes_validation():
+    x1 = Cube(B0.one, ((0, 1),))
     with pytest.raises(ValueError):
-        eliminate_cnf(3, [[1]], [[0, 1]])
+        eliminate_cubes(3, B0, [x1], [[0, 1]])
     with pytest.raises(ValueError):
-        eliminate_cnf(0, [], [])
+        eliminate_cubes(0, B0, [], [])
+    with pytest.raises(ValueError, match="variable index 1 outside n=1"):
+        eliminate_cubes(1, B0, [Cube(B0.one, ((1, 1),))], [[0]])
+    with pytest.raises(AlgebraMismatchError):
+        eliminate_cubes(1, B2, [x1], [[0]])
 
 
 # ---------------------------------------------------------------------------
