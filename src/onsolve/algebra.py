@@ -10,6 +10,7 @@ values; every operation is pure, so they are safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 DEFAULT_ATOM_CAP = 64
@@ -49,18 +50,26 @@ class Algebra:
     def full_mask(self) -> int:
         return (1 << self.atom_count) - 1
 
-    @property
+    # Built once; equality and hashing still see atom_count only.
+    @cached_property
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, 0)
 
-    @property
+    @cached_property
     def one(self) -> "AlgebraElement":
         return AlgebraElement(self, self.full_mask)
+
+    @cached_property
+    def _atoms(self) -> dict[int, "AlgebraElement"]:
+        return {}  # filled on demand: all k atoms hold k^2/2 mask bits
 
     def atom(self, i: int) -> "AlgebraElement":
         if not 0 <= i < self.atom_count:
             raise IndexError(f"atom index {i} out of range for {self!r}")
-        return AlgebraElement(self, 1 << i)
+        atom = self._atoms.get(i)
+        if atom is None:
+            atom = self._atoms[i] = AlgebraElement(self, 1 << i)
+        return atom
 
     def element(self, mask: int) -> "AlgebraElement":
         """Element from an atom bitmask (bit i set = atom ``a{i}`` present)."""

@@ -25,20 +25,19 @@ from .orthonormal import (
     format_on_set,
     from_blocks,
     is_in_class,
+    on_set_records,
     parse_on_set,
     verify_on,
 )
 from .oracle import brute_consistency
-from .parsing import (Cube, Expr, ExpressionSyntaxError, Sum, cnf_expr,
-                      parse_element, parse_expr)
+from .parsing import Expr, ExpressionSyntaxError, cnf_expr, parse_element, parse_expr
 from .solver import (
     Assignment,
     EliminationTrace,
     InapplicableClassError,
     cnf_function,  # kept as cli.cnf_function for bench/worker.py
     consecutive_split,
-    eliminate_blocks,
-    eliminate_cubes,
+    eliminate_expr,
     extract_solution,
     render_trace,
 )
@@ -221,14 +220,15 @@ def load_on_set(path: Path, algebra: Algebra | None,
     """ON-set file: either the block-partition format or expression form
     (optional 'algebra'/'vars' directives, then one member per line)."""
     text = path.read_text()
-    meaningful = [(lineno, _strip_comment(l))
-                  for lineno, l in enumerate(text.splitlines(), 1)]
-    meaningful = [(lineno, l) for lineno, l in meaningful if l]
-    if meaningful and meaningful[0][1].split()[0].isdigit():
+    records = on_set_records(text)
+    if records and records[0][1].split()[0].isdigit():
         if algebra is None:
             algebra = Algebra(1)
         return parse_on_set(text, algebra), algebra
 
+    meaningful = [(lineno, _strip_comment(l))
+                  for lineno, l in enumerate(text.splitlines(), 1)]
+    meaningful = [(lineno, l) for lineno, l in meaningful if l]
     k = algebra.atom_count if algebra is not None else 1
     var_names: list[str] | None = None
     members: list[str] = []
@@ -278,16 +278,9 @@ def parse_model(text: str, problem: ProblemFile) -> Assignment:
 
 def _solve_problem(problem: ProblemFile,
                    args) -> tuple[EliminationTrace, Assignment | None]:
-    split = problem.split
-    if split is None:
-        split = consecutive_split(problem.n, args.block_size)
-    expr = problem.expr
-    cubes = expr.parts if isinstance(expr, Sum) else (expr,)
-    if (problem.n and args.phi_policy == "minterm"
-            and all(isinstance(c, Cube) for c in cubes)):
-        trace = eliminate_cubes(problem.n, problem.algebra, cubes, split)
-    else:
-        trace = eliminate_blocks(problem.function, split, phi_policy=args.phi_policy)
+    split = problem.split or consecutive_split(problem.n, args.block_size)
+    trace = eliminate_expr(problem.expr, problem.n, problem.algebra, split,
+                           args.phi_policy)
     return trace, extract_solution(trace) if trace.consistent else None
 
 

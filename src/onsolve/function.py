@@ -93,8 +93,8 @@ class BoolFunction:
         if not 0 <= i < n:
             raise IndexError(f"variable index {i} out of range for n={n}")
         table = np.zeros(1 << n, dtype=_dtype_for(algebra))
-        _write_cubes(table, range(n), [Cube(algebra.one, ((i, 1),))], {}, algebra)
-        return cls(algebra, n, table)
+        return cls(algebra, n, _write_expr(table, range(n), Cube(algebra.one, ((i, 1),)),
+                                           {}, algebra))
 
     @classmethod
     def from_coeffs(cls, algebra: Algebra, n: int, coeffs,
@@ -115,7 +115,9 @@ class BoolFunction:
     def from_expr(cls, expr: Expr, n: int, algebra: Algebra,
                   var_cap: int = DEFAULT_VAR_CAP) -> "BoolFunction":
         _check_var_cap(n, var_cap)
-        return cls(algebra, n, _expr_table(expr, n, algebra))
+        _check_expr(expr, n, algebra)
+        table = np.zeros(1 << n, dtype=_dtype_for(algebra))
+        return cls(algebra, n, _write_expr(table, range(n), expr, {}, algebra))
 
     # -- coefficient access --------------------------------------------------
 
@@ -245,68 +247,58 @@ class BoolFunction:
         return f"<BoolFunction n={self.n} over 2^{self.algebra.atom_count}: {body}>"
 
 
-def _write_cubes(table: np.ndarray, variables, cubes, point: dict[int, int],
-                 algebra: Algebra) -> None:
-    """OR each ``Cube`` term into the entries of its cube, in place.  The
+def _write_expr(table: np.ndarray, variables, expr: Expr, point: dict[int, int],
+                algebra: Algebra) -> np.ndarray:
+    """OR the expression into ``table`` in place and return the table.  The
     flat table ranges over ``variables`` (the first is the most significant
-    bit).  A literal on any other variable v is set by ``point[v]``, an atom
-    mask that the term's value meets.  A value of 1 is assigned, which is
-    the same and cheaper."""
+    bit).  A ``Cube`` is one strided write, where a literal on any other
+    variable v is set by ``point[v]``, an atom mask that the term's value
+    meets, and a value of 1 is assigned, which is the same and cheaper.
+    Other nodes combine their parts' tables entrywise."""
     variables = tuple(variables)
     view = table.reshape((2,) * len(variables))
     axis = {v: a for a, v in enumerate(variables)}
     full, one = algebra.full_mask, _one_value(algebra)
-    for cube in cubes:
-        mask = cube.value.mask
-        sel = [slice(None)] * len(variables)
-        for v, bit in cube.lits:
-            if v in axis:
-                sel[axis[v]] = bit
-            else:
-                mask &= point[v] if bit else ~point[v]
-        if mask == full:
-            view[tuple(sel)] = one
-        elif mask:
-            view[tuple(sel)] |= _mask_to_value(algebra, mask)
-
-
-def _check_cube(cube: Cube, n: int, algebra: Algebra) -> None:
-    if cube.value.algebra != algebra:
-        raise AlgebraMismatchError("constant from a different algebra")
-    for v, _ in cube.lits:
-        if v >= n:
-            raise ValueError(f"variable index {v} outside n={n}")
-
-
-def _expr_table(expr: Expr, n: int, algebra: Algebra) -> np.ndarray:
-    """Table of an expression (equals evaluating the tree at every 0/1
-    point, since all operations act entrywise).  Each ``Cube`` part of a
-    sum is one strided write into a zeros buffer; any other part is built
-    compositionally."""
-    out = np.zeros(1 << n, dtype=_dtype_for(algebra))
-    cubes = []
     for part in expr.parts if isinstance(expr, Sum) else (expr,):
-        if not isinstance(part, Cube):
-            out |= _composite_table(part, n, algebra)
-            continue
-        _check_cube(part, n, algebra)
-        cubes.append(part)
-    _write_cubes(out, range(n), cubes, {}, algebra)
-    return out
+        if isinstance(part, Cube):
+            mask = part.value.mask
+            sel = [slice(None)] * len(variables)
+            for v, bit in part.lits:
+                if v in axis:
+                    sel[axis[v]] = bit
+                else:
+                    mask &= point[v] if bit else ~point[v]
+            if mask == full:
+                view[tuple(sel)] = one
+            elif mask:
+                view[tuple(sel)] |= _mask_to_value(algebra, mask)
+        elif isinstance(part, Sum):
+            _write_expr(table, variables, part, point, algebra)
+        elif isinstance(part, Prod):
+            out = np.full_like(table, one)
+            for p in part.parts:
+                out &= _write_expr(np.zeros_like(table), variables, p, point, algebra)
+            table |= out
+        else:
+            table |= _write_expr(np.zeros_like(table), variables, part.arg,
+                                 point, algebra) ^ one
+    return table
 
 
-def _composite_table(expr: Expr, n: int, algebra: Algebra) -> np.ndarray:
-    """Table of a node that is not a ``Cube``, from its parts' tables."""
-    if isinstance(expr, Sum):
-        return _expr_table(expr, n, algebra)
-    if isinstance(expr, Prod):
-        out = np.full(1 << n, _one_value(algebra), dtype=_dtype_for(algebra))
-        for p in expr.parts:
-            out &= _expr_table(p, n, algebra)
-        return out
-    if isinstance(expr, Not):
-        return _expr_table(expr.arg, n, algebra) ^ _one_value(algebra)
-    raise TypeError(f"unknown expression node {expr!r}")
+def _check_expr(expr: Expr, n: int, algebra: Algebra) -> None:
+    """Reject a constant from another algebra or a variable outside n, before
+    any table is allocated."""
+    if isinstance(expr, Cube):
+        if expr.value.algebra != algebra:
+            raise AlgebraMismatchError("constant from a different algebra")
+        for v, _ in expr.lits:
+            if v >= n:
+                raise ValueError(f"variable index {v} outside n={n}")
+    elif isinstance(expr, (Sum, Prod, Not)):
+        for part in (expr.arg,) if isinstance(expr, Not) else expr.parts:
+            _check_expr(part, n, algebra)
+    else:
+        raise TypeError(f"unknown expression node {expr!r}")
 
 
 def parse(text: str, n: int, algebra: Algebra,
@@ -372,9 +364,8 @@ def term_to_function(t: Term, n: int, algebra: Algebra,
     if t.width > n:
         raise ValueError(f"term over {t.width} variables does not fit n={n}")
     table = np.zeros(1 << n, dtype=_dtype_for(algebra))
-    _write_cubes(table, range(n), [Cube(algebra.one, tuple(t.fixed_vars().items()))],
-                 {}, algebra)
-    return BoolFunction(algebra, n, table)
+    cube = Cube(algebra.one, tuple(t.fixed_vars().items()))
+    return BoolFunction(algebra, n, _write_expr(table, range(n), cube, {}, algebra))
 
 
 def minterm_function(algebra: Algebra, n: int, j: int,

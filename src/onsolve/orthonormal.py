@@ -305,10 +305,15 @@ def format_on_set(onset: OrthonormalSet) -> str:
     return "\n".join(records)
 
 
-def parse_on_set(text: str, algebra: Algebra) -> OrthonormalSet:
+def on_set_records(text: str) -> list[tuple[int, str]]:
+    """The non-blank, non-comment records of the text format, with lines."""
     records = [(lineno, r.strip()) for lineno, line in enumerate(text.splitlines(), 1)
                for r in line.split(";")]
-    records = [(lineno, r) for lineno, r in records if r and not r.startswith("#")]
+    return [(lineno, r) for lineno, r in records if r and not r.startswith("#")]
+
+
+def parse_on_set(text: str, algebra: Algebra) -> OrthonormalSet:
+    records = on_set_records(text)
     if not records:
         raise ValueError("empty ON-set description")
     lineno, head = records[0][0], records[0][1].split()

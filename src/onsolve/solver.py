@@ -7,8 +7,9 @@ eliminant over the remaining variables; iterating over a variable split
 drives the table down to a constant whose vanishing decides consistency.
 Back-substitution then rebuilds a concrete solution stage by stage, using the
 explicit solutions of the linear ON equation, of minterm systems, and of
-systems phi_i(X) = beta_i defined by an ON set.  For a sum of cube terms,
-``eliminate_cubes`` writes stage 1 straight from the terms.
+systems phi_i(X) = beta_i defined by an ON set.  A problem is solved from
+its expression tree by ``eliminate_expr``, which writes stage 1 straight
+from the tree, in row slabs when the minterm stage is larger than one slab.
 """
 
 from __future__ import annotations
@@ -20,16 +21,17 @@ import numpy as np
 
 from .algebra import (Algebra, AlgebraElement, AlgebraMismatchError,
                       complement, meet, meet_all)
-from .function import (DEFAULT_VAR_CAP, BoolFunction, _check_cube, _dtype_for,
-                       _mask_to_value, _one_value, _write_cubes, point_bits)
+from .function import (DEFAULT_VAR_CAP, BoolFunction, _check_expr, _dtype_for,
+                       _mask_to_value, _one_value, _write_expr, point_bits)
 from .orthonormal import (
     OrthonormalSet,
+    coefficient_interval,
     is_in_class,
     minterm_set,
     ladder_terms,
     term_set,
 )
-from .parsing import Cube, cnf_expr
+from .parsing import Cube, Expr, Sum, cnf_expr
 
 Assignment = dict[int, AlgebraElement]
 """Solution map: 0-based variable index -> element."""
@@ -211,17 +213,17 @@ def necessary_condition(f: BoolFunction, onset: OrthonormalSet) -> BoolFunction:
 
     For f in the constant class this is the constant product of the expansion
     constants, and the condition is then also sufficient.  Outside the class
-    it falls back to the product of the pointwise coefficient functions
-    f*phi_i, which is sound but usually weak.
+    it is the product of the pointwise coefficient functions f*phi_i: f itself
+    for a set of order 1, and the zero function for order 2 or more, since
+    the members are disjoint, so the condition is then vacuous.
     """
     membership = is_in_class(f, onset)
     if membership:
         product = meet_all(membership.constants, f.algebra)
         return BoolFunction.constant(f.algebra, f.n, product, var_cap=f.n)
-    out = BoolFunction.constant(f.algebra, f.n, f.algebra.one, var_cap=f.n)
-    for phi in onset.members():
-        out = out * (f * phi)
-    return out
+    if onset.order == 1:
+        return f
+    return BoolFunction.constant(f.algebra, f.n, f.algebra.zero, var_cap=f.n)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +250,8 @@ def _stage_expand(f: BoolFunction, block: tuple[int, ...],
     Row i is f restricted to the smallest minterm of block i; f is in the
     class when every minterm's restriction equals its block's row."""
     rows = _block_rows(f, block)
-    table = rows[phi.reps]
+    # The block minterms in index order need no gather: the rows are the table.
+    table = rows if np.array_equal(phi.labels, np.arange(len(rows))) else rows[phi.reps]
     if phi.order < len(rows) and not np.array_equal(table[phi.labels], rows):
         raise InapplicableClassError(
             "no coefficient over the remaining variables exists for a "
@@ -325,24 +328,22 @@ class EliminationStage:
 
 @dataclass(frozen=True)
 class CubeStage:
-    """Stage 1 of a sum of cube terms under the minterm policy, when its
-    table is larger than one slab: it keeps the ``Cube`` terms instead."""
+    """Stage 1 under the minterm policy when its table is larger than one
+    slab: it keeps the expression instead of the table."""
 
     block: tuple[int, ...]
     remaining: tuple[int, ...]
     phi: OrthonormalSet               # the block minterms
-    cubes: tuple[Cube, ...]
+    expr: Expr
     eliminant: BoolFunction
     zero_coefficients: int            # block points where f vanishes identically
 
     def constants_at(self, values: dict[int, int]) -> np.ndarray:
         """f at each block point with each remaining variable i at the atom
-        mask ``values[i]`` (``values`` holds no block variable): the OR of
-        the cubes restricted to that point."""
+        mask ``values[i]`` (``values`` holds no block variable)."""
         algebra = self.eliminant.algebra
         constants = np.zeros(self.phi.order, dtype=_dtype_for(algebra))
-        _write_cubes(constants, self.block, self.cubes, values, algebra)
-        return constants
+        return _write_expr(constants, self.block, self.expr, values, algebra)
 
 
 @dataclass(frozen=True)
@@ -410,7 +411,7 @@ def eliminate_blocks(f: BoolFunction, split,
 
 
 # ---------------------------------------------------------------------------
-# Sums of cube terms: the cube stage
+# Expression trees: stage 1 from the tree
 
 # A slab of 2^20 entries (1 MiB) or more keeps numpy's per-call cost small.
 _SLAB_ENTRIES = 1 << 20
@@ -424,54 +425,55 @@ def cnf_function(n: int, clauses, algebra: Algebra,
                                   var_cap=var_cap)
 
 
-def eliminate_cubes(n: int, algebra: Algebra, cubes, split) -> EliminationTrace:
-    """``eliminate_blocks(BoolFunction.from_expr(Sum(cubes), ...), split)``
-    under the minterm policy, with stage 1 computed from the ``Cube`` terms.
+def eliminate_expr(expr: Expr, n: int, algebra: Algebra, split,
+                   phi_policy: str = "minterm") -> EliminationTrace:
+    """``eliminate_blocks(BoolFunction.from_expr(expr, n, algebra), split,
+    phi_policy)``, without a 2^n table when stage 1 is larger than one slab
+    under the minterm policy.
 
     Row A of stage 1 is f with the first block at A, and the eliminant is
-    the AND of the rows.  Rows that fit in one slab are written at once and
-    kept as an ``EliminationStage``.  Larger ones are written in slabs, runs
-    of whole rows that share their leading block bits (the prefix): a copy
-    of a common buffer, which holds the cubes without a prefix variable,
-    plus the cubes the prefix leaves live.  Stage 1 is then a ``CubeStage``.
+    the AND of the rows.  When the rows fit in one slab, or the policy needs
+    them all at once to check the class, f is written once with the block
+    variables first.  Otherwise they are written in slabs, runs of whole
+    rows that share their leading block bits (the prefix): a copy of a
+    common buffer, which holds the cubes without a prefix variable, plus the
+    parts the prefix leaves live.  Stage 1 is then a ``CubeStage``.
     """
     split = _check_split(n, split)
-    if not split:
-        raise ValueError("the cube stage needs at least one variable")
-    cubes = tuple(cubes)
-    for cube in cubes:
-        _check_cube(cube, n, algebra)
-    block = split[0]
+    _check_expr(expr, n, algebra)
+    block = split[0] if split else ()
     remaining = tuple(i for i in range(n) if i not in block)
-    phi = minterm_set(len(block), algebra, var_cap=len(block))
     # Each slab holds 2^free rows of 2^len(remaining) entries.
     free = min(len(block), max(0, (_SLAB_ENTRIES - 1).bit_length() - len(remaining)))
+    if free == len(block) or phi_policy != "minterm":
+        table = np.zeros(1 << n, dtype=_dtype_for(algebra))
+        _write_expr(table, block + remaining, expr, {}, algebra)
+        stages, g = _eliminate_stages(BoolFunction(algebra, n, table),
+                                      block + remaining, split, phi_policy)
+        return EliminationTrace(algebra, n, split, phi_policy, tuple(stages), g.coeff(0))
     prefix = block[:len(block) - free]
     variables = block[len(block) - free:] + remaining
-    common = np.zeros(1 << len(variables), dtype=_dtype_for(algebra))
-    _write_cubes(common, variables,
-                 [c for c in cubes if not any(v in prefix for v, _ in c.lits)],
-                 {}, algebra)
-    if not prefix:
-        table = common.reshape(phi.order, -1)
-        table.flags.writeable = False
-        g = BoolFunction(algebra, len(remaining), np.bitwise_and.reduce(table, axis=0))
-        first = EliminationStage(block, remaining, phi, table, g)
-    else:
-        live = [c for c in cubes if any(v in prefix for v, _ in c.lits)]
-        slab = np.empty_like(common)
-        eliminant = np.full(1 << len(remaining), _one_value(algebra), dtype=common.dtype)
-        zero = 0
-        for p in range(1 << len(prefix)):
-            np.copyto(slab, common)
-            point = {v: bit * algebra.full_mask
-                     for v, bit in zip(prefix, point_bits(p, len(prefix)))}
-            _write_cubes(slab, variables, live, point, algebra)
-            rows = slab.reshape(1 << free, -1)
-            eliminant &= np.bitwise_and.reduce(rows, axis=0)
-            zero += int(np.count_nonzero(~rows.any(axis=1)))
-        g = BoolFunction(algebra, len(remaining), eliminant)
-        first = CubeStage(block, remaining, phi, cubes, g, zero)
+    fixed, live = [], []
+    for part in expr.parts if isinstance(expr, Sum) else (expr,):
+        pinned = isinstance(part, Cube) and not any(v in prefix for v, _ in part.lits)
+        (fixed if pinned else live).append(part)
+    common = _write_expr(np.zeros(1 << len(variables), dtype=_dtype_for(algebra)),
+                         variables, Sum(tuple(fixed)), {}, algebra)
+    live = Sum(tuple(live))
+    slab = np.empty_like(common)
+    eliminant = np.full(1 << len(remaining), _one_value(algebra), dtype=common.dtype)
+    zero = 0
+    for p in range(1 << len(prefix)):
+        np.copyto(slab, common)
+        point = {v: bit * algebra.full_mask
+                 for v, bit in zip(prefix, point_bits(p, len(prefix)))}
+        _write_expr(slab, variables, live, point, algebra)
+        rows = slab.reshape(1 << free, -1)
+        eliminant &= np.bitwise_and.reduce(rows, axis=0)
+        zero += int(np.count_nonzero(~rows.any(axis=1)))
+    g = BoolFunction(algebra, len(remaining), eliminant)
+    phi = minterm_set(len(block), algebra, var_cap=len(block))
+    first = CubeStage(block, remaining, phi, expr, g, zero)
     stages, g = _eliminate_stages(g, remaining, split[1:], "minterm")
     return EliminationTrace(algebra, n, split, "minterm",
                             (first, *stages), g.coeff(0))
@@ -549,22 +551,21 @@ def b0_coefficient(f: BoolFunction, phi: BoolFunction) -> AlgebraElement | None:
     neither holds (no constant works, so f is outside the class for phi).
     """
     _require_b0(f)
-    if (f * phi).is_zero:
-        return f.algebra.zero
-    if (~f * phi).is_zero:
-        return f.algebra.one
-    return None
+    interval = coefficient_interval(f, phi)
+    if interval.low.is_zero:
+        return interval.low
+    return interval.high if interval.high.is_one else None
 
 
 def b0_consistency(f: BoolFunction, onset: OrthonormalSet, target: int = 0) -> bool:
-    """Decide f = target (0 or 1) over the two-element algebra by tautology
-    scans: f = 0 is consistent iff f*phi_i is identically zero for some i
-    (dually with f' for target 1).  Requires f in the constant class."""
+    """Decide f = target (0 or 1) over the two-element algebra: f = 0 is
+    consistent iff f*phi_i is identically zero, its constant 0, for some i
+    (dually 1 for target 1).  Requires f in the constant class."""
     _require_b0(f)
     if target not in (0, 1):
         raise ValueError("target must be 0 or 1")
-    if not is_in_class(f, onset):
+    membership = is_in_class(f, onset)
+    if not membership:
         raise InapplicableClassError(
             "function admits no constant-coefficient expansion over this ON set")
-    g = f if target == 0 else ~f
-    return any((g * phi).is_zero for phi in onset.members())
+    return any(c.mask == target for c in membership.constants)

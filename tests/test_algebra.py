@@ -98,6 +98,19 @@ def test_degenerate_algebra():
     assert complement(b.zero) == b.zero
 
 
+def test_constants_are_cached_without_changing_equality():
+    fresh = Algebra(3)
+    assert fresh == B3 and hash(fresh) == hash(B3)
+    read = (fresh.zero, fresh.one, fresh.atom(1), fresh.atom(2))
+    assert read == (B3.zero, B3.one, B3.atom(1), B3.element(0b100))
+    assert all(x is y for x, y in zip(read, (fresh.zero, fresh.one,
+                                             fresh.atom(1), fresh.atom(2))))
+    assert fresh == Algebra(3, atom_cap=8) and hash(fresh) == hash(Algebra(3))
+    assert fresh != B2 and repr(fresh) == "Algebra(atom_count=3)"
+    with pytest.raises(IndexError):
+        fresh.atom(-1)
+
+
 def test_element_validation_and_reprs():
     with pytest.raises(ValueError):
         B2.element(4)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from onsolve import cli, function
+from onsolve import BoolFunction, cli, eliminate_blocks
 from onsolve.cli import (
     ProblemFormatError,
     cnf_function,
@@ -94,6 +94,13 @@ CONSISTENT
 model: x=1 y=0 z=0
 elimination trace: n=3, algebra=2^1, policy=minterm
   stage 1: eliminate {x, y, z} via ON order 8; coefficients: 8 (4 zero); eliminant over 0 vars (1 entries, digest 5ba93c9d)
+  final constant: 0 -> CONSISTENT
+""",
+    "not_cubes.txt": """\
+CONSISTENT
+model: x1=1 x2=1 x3=1 x4=1
+elimination trace: n=4, algebra=2^1, policy=minterm
+  stage 1: eliminate {x1, x2, x3, x4} via ON order 16; coefficients: 16 (5 zero); eliminant over 0 vars (1 entries, digest 5ba93c9d)
   final constant: 0 -> CONSISTENT
 """,
     "one.txt": """\
@@ -208,17 +215,18 @@ def test_solve_trace_flag(capsys):
 
 
 def _forbid_tables(monkeypatch):
-    """Make every expression table build (the one table writer) fail."""
-    def expr_table(*args, **kwargs):
+    """Make every table build from an expression tree fail."""
+    def from_expr(*args, **kwargs):
         raise AssertionError("dense table built")
 
-    monkeypatch.setattr(function, "_expr_table", expr_table)
+    monkeypatch.setattr(BoolFunction, "from_expr", from_expr)
 
 
 def test_solve_cnf_never_builds_the_table(capsys, monkeypatch, tmp_path):
-    # Under the minterm policy a solve of a sum of cube terms, DIMACS or
-    # expression file, computes stage 1 from the terms, and so does a model
-    # check; n = 0, other shapes and the ladder policy build the table.
+    # A solve goes through eliminate_expr whatever the file's format, shape,
+    # policy or n, and a model check reads the tree, so neither builds f
+    # with BoolFunction.from_expr.  Each output equals the dense path's,
+    # eliminate_blocks on ProblemFile.function.
     shape = tmp_path / "not_cubes.txt"
     shape.write_text("vars 3\nequation (x1 + x2)'*x3\n")
     assert run(capsys, "solve", str(shape), "--trace")[:2] == (0, """\
@@ -228,21 +236,32 @@ elimination trace: n=3, algebra=2^1, policy=minterm
   stage 1: eliminate {x1, x2, x3} via ON order 8; coefficients: 8 (7 zero); eliminant over 0 vars (1 entries, digest 5ba93c9d)
   final constant: 0 -> CONSISTENT
 """)
+    general = tmp_path / "not_cubes_b2.txt"
+    general.write_text("algebra 2\nvars 3\nequation (x1 + a0*x2)'*x3 + a1*x1'\n")
+    files = [INSTANCES / name for name in sorted(GOLDEN_TRACES)] + [shape, general]
+
+    def dense(expr, n, algebra, split, phi_policy):
+        f = BoolFunction.from_expr(expr, n, algebra, var_cap=n)
+        return eliminate_blocks(f, split, phi_policy)
+
+    expected = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "eliminate_expr", dense)
+        for path in files:
+            for policy in ("minterm", "ladder"):
+                expected[path, policy] = run(capsys, "solve", str(path), "--trace",
+                                             "--phi-policy", policy)
     _forbid_tables(monkeypatch)
     model_file = tmp_path / "model.txt"
-    for name, expected in GOLDEN_TRACES.items():
-        if name == "empty.cnf":
-            continue
-        code, out, _ = run(capsys, "solve", str(INSTANCES / name), "--trace")
-        assert (code, out) == (_exit_code(expected), expected), name
-        if code == 0:
-            model_file.write_text(out.splitlines()[1].removeprefix("model:"))
-            assert run(capsys, "solve", str(INSTANCES / name), "--check-model",
-                       str(model_file)) == (0, "model verifies: f = 0\n", ""), name
+    for (path, policy), want in expected.items():
+        got = run(capsys, "solve", str(path), "--trace", "--phi-policy", policy)
+        assert got == want, (path, policy)
+        if got[0] == 0:
+            model_file.write_text(got[1].splitlines()[1].removeprefix("model:"))
+            assert run(capsys, "solve", str(path), "--check-model",
+                       str(model_file)) == (0, "model verifies: f = 0\n", ""), path
     with pytest.raises(AssertionError, match="dense table built"):
-        main(["solve", str(INSTANCES / "empty.cnf")])
-    with pytest.raises(AssertionError, match="dense table built"):
-        main(["solve", str(shape)])
+        parse_problem(shape).function
 
 
 def test_solve_tautological_clause(capsys, tmp_path):
@@ -360,6 +379,8 @@ THREE_BLOCKS = "ON of order 3\n3 3\nM1={0,5,7}\nM2={1,3,6}\nM3={2,4}\n"
 # Exact `check-on` output per file in instances/onsets/, with and without
 # `--algebra 3`.
 GOLDEN_CHECK_ON = {
+    # The form is read from the first ';'-separated record.
+    "leading_semicolon.txt": (0, "ON of order 2\n2 2\nM1={0,1}\nM2={2,3}\n"),
     "repeated_member.txt": (
         1, "not orthonormal: NotOrthogonalError: members 0 and 1 have a "
            "nonzero product\n"),
@@ -434,10 +455,10 @@ def test_expand_outside_class_prints_functions(capsys, tmp_path):
 def test_verify_bundled_instances(capsys):
     files = sorted(str(p) for p in INSTANCES.glob("*.txt"))
     files += sorted(str(p) for p in INSTANCES.glob("*.cnf"))
-    assert len(files) == 20
+    assert len(files) == 21
     code, out, _ = run(capsys, "verify", *files)
     assert code == 0
-    assert out.splitlines()[-1] == "agree: 20/20"
+    assert out.splitlines()[-1] == "agree: 21/21"
 
 
 def test_verify_skips_outside_class(capsys):

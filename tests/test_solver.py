@@ -21,10 +21,11 @@ from onsolve import (
     consistency_on_class,
     delta_tuple,
     eliminate_blocks,
-    eliminate_cubes,
+    eliminate_expr,
     eliminate_variable,
     extract_solution,
     from_blocks,
+    is_in_class,
     minterm_set,
     necessary_condition,
     parse,
@@ -37,7 +38,7 @@ from onsolve import (
 )
 from onsolve import solver
 from onsolve.algebra import Algebra, join_all, meet, meet_all
-from onsolve.parsing import Cube, Sum, cnf_expr
+from onsolve.parsing import Cube, Not, Prod, Sum, cnf_expr
 from onsolve.solver import is_on_system
 
 from helpers import (
@@ -606,66 +607,128 @@ def _plain_cnf(n, algebra, rng):
     return list(cnf_expr(_messy_cnf(n, rng), algebra).parts)
 
 
-# (algebra, cases, largest n, term maker): DIMACS clause lists as
-# `onsolve solve` reads them, then cube sums over the bool, uint64 and
-# object tables.
-CUBE_CASES = ((B0, 80, 12, _plain_cnf),
-              *((a, 40, 10, _messy_cubes)
-                for a in (B0, B2, B3, Algebra(65, atom_cap=65))))
+def _subtree(n, algebra, rng, depth):
+    """A random tree of products, complements and sums over small cubes."""
+    kind = rng.choice(("cube", "prod", "not", "sum")) if depth else "cube"
+    if kind == "cube":
+        lits = tuple((v, rng.getrandbits(1))
+                     for v in rng.sample(range(n), rng.randint(1, min(3, n))))
+        return Cube(rand_element(algebra, rng), lits)
+    parts = tuple(_subtree(n, algebra, rng, depth - 1)
+                  for _ in range(rng.randint(1, 3)))
+    if kind == "not":
+        return Not(Prod(parts))
+    return (Prod if kind == "prod" else Sum)(parts)
+
+
+def _messy_trees(n, algebra, rng):
+    """Messy cube terms, with some products and nested sums among them and
+    a complemented product of a cube with a sum."""
+    parts = _messy_cubes(n, algebra, rng)[:n]
+    for _ in range(rng.randint(1, 3)):
+        parts.insert(rng.randint(0, len(parts)),
+                     Prod((_subtree(n, algebra, rng, 2), _subtree(n, algebra, rng, 2))))
+    v = rng.randrange(n)
+    parts.append(Prod((Cube(algebra.one, ((v, 1),)),
+                       Not(Sum((_subtree(n, algebra, rng, 1),
+                                Cube(algebra.one, ((v, 1),))))))))
+    return parts
+
+
+# (algebra, cases, largest n, term maker, least consistent cases): DIMACS
+# clause lists as `onsolve solve` reads them, then cube sums and other trees
+# over the bool, uint64 and object tables.
+EXPR_CASES = ((B0, 80, 12, _plain_cnf, 20),
+              *(case
+                for a in (B0, B2, B3, Algebra(65, atom_cap=65))
+                for case in ((a, 40, 10, _messy_cubes, 20),
+                             (a, 30, 8, _messy_trees, 10))))
 
 
 def _random_split(n, rng):
     variables = list(range(n))
     if rng.random() < 0.5:
         rng.shuffle(variables)
-    size = rng.randint(1, n)
+    size = rng.randint(1, max(n, 1))
     return [variables[s:s + size] for s in range(0, n, size)]
 
 
+def _trace_or_error(eliminate, *args):
+    try:
+        return eliminate(*args)
+    except InapplicableClassError:
+        return None
+
+
 @pytest.mark.parametrize("slab", [1, 16, 256, solver._SLAB_ENTRIES])
-def test_eliminate_cubes_matches_dense_stages(monkeypatch, slab):
+def test_eliminate_expr_matches_dense_stages(monkeypatch, slab):
     # Small slabs make the per-row and multi-slab paths run at n <= 12.
     monkeypatch.setattr(solver, "_SLAB_ENTRIES", slab)
-    rng = random.Random(f"cube-stage:{slab}")
-    for algebra, cases, largest, make in CUBE_CASES:
+    rng = random.Random(f"expr-stage:{slab}")
+    for algebra, cases, largest, make, least in EXPR_CASES:
         consistent = 0
-        for _ in range(cases):
-            n = rng.randint(1, largest)
-            cubes = make(n, algebra, rng)
+        for case in range(cases):
+            n = rng.randint(1, largest) if case else 0
+            expr = Sum(tuple(make(n, algebra, rng))) if n else Cube(algebra.zero)
             split = _random_split(n, rng)
-            f = BoolFunction.from_expr(Sum(tuple(cubes)), n, algebra)
-            dense = eliminate_blocks(f, split)
-            fast = eliminate_cubes(n, algebra, cubes, split)
-            # A table of one slab or less is kept as a dense stage.
-            assert isinstance(fast.stages[0], CubeStage) == (1 << n > slab)
-            assert len(fast.stages) == len(dense.stages)
-            for got, want in zip(fast.stages, dense.stages):
-                assert (got.block, got.remaining) == (want.block, want.remaining)
-                assert np.array_equal(got.eliminant.table, want.eliminant.table)
-                assert got.zero_coefficients == want.zero_coefficients
-            assert fast.final == dense.final
-            for _ in range(3):
-                values = {i: rng.getrandbits(algebra.atom_count)
-                          for i in dense.stages[0].remaining}
-                got = fast.stages[0].constants_at(values)
-                want = dense.stages[0].constants_at(values)
-                assert got.dtype == want.dtype and np.array_equal(got, want)
-            if dense.consistent:
-                consistent += 1
-                assert extract_solution(fast) == extract_solution(dense)
-        assert consistent >= 20, algebra
+            f = BoolFunction.from_expr(expr, n, algebra)
+            for policy in ("minterm", "ladder"):
+                dense = _trace_or_error(eliminate_blocks, f, split, policy)
+                fast = _trace_or_error(eliminate_expr, expr, n, algebra, split, policy)
+                if dense is None or fast is None:
+                    assert dense is fast, policy
+                    continue
+                assert len(fast.stages) == len(dense.stages) == len(split)
+                for got, want in zip(fast.stages, dense.stages):
+                    assert (got.block, got.remaining) == (want.block, want.remaining)
+                    assert np.array_equal(got.eliminant.table, want.eliminant.table)
+                    assert got.zero_coefficients == want.zero_coefficients
+                assert (fast.final, fast.policy) == (dense.final, dense.policy)
+                if not n:
+                    continue
+                # A table of one slab or less is kept as a dense stage.
+                assert isinstance(fast.stages[0], CubeStage) == (
+                    policy == "minterm" and 1 << n > slab)
+                for _ in range(3):
+                    values = {i: rng.getrandbits(algebra.atom_count)
+                              for i in dense.stages[0].remaining}
+                    got = fast.stages[0].constants_at(values)
+                    want = dense.stages[0].constants_at(values)
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+                if dense.consistent:
+                    consistent += policy == "minterm"
+                    assert extract_solution(fast) == extract_solution(dense)
+        assert consistent >= least, (algebra, make)
 
 
-def test_eliminate_cubes_validation():
+def test_stage_table_rows_follow_the_member_order():
+    # Over the block minterms in index order the rows are the table; over
+    # the same minterms in another order, row i is still member i's.
+    f = parse("x1*x2' + a1*x2 + a0*x1'*x3", 3, B2)
+    for order in ([0, 1, 2, 3], [3, 1, 0, 2]):
+        phi = from_blocks(B2, 2, [{j} for j in order])
+        table, eliminant = solver._stage_expand(f, (0, 1), phi)
+        rows = f.table.reshape(4, 2)
+        assert np.array_equal(table, rows[order])
+        assert np.array_equal(eliminant, np.bitwise_and.reduce(rows, axis=0))
+
+
+def test_eliminate_expr_validation():
     x1 = Cube(B0.one, ((0, 1),))
     with pytest.raises(ValueError):
-        eliminate_cubes(3, B0, [x1], [[0, 1]])
-    with pytest.raises(ValueError):
-        eliminate_cubes(0, B0, [], [])
+        eliminate_expr(x1, 3, B0, [[0, 1]])
     with pytest.raises(ValueError, match="variable index 1 outside n=1"):
-        eliminate_cubes(1, B0, [Cube(B0.one, ((1, 1),))], [[0]])
+        eliminate_expr(Cube(B0.one, ((1, 1),)), 1, B0, [[0]])
+    with pytest.raises(ValueError, match="variable index 2 outside n=2"):
+        eliminate_expr(Sum((x1, Not(Prod((x1, Cube(B0.one, ((2, 0),))))))), 2, B0,
+                       [[0], [1]])
     with pytest.raises(AlgebraMismatchError):
-        eliminate_cubes(1, B2, [x1], [[0]])
+        eliminate_expr(x1, 1, B2, [[0]])
+    # n = 0: no stages, and the final constant is the expression's value.
+    for policy in ("minterm", "ladder"):
+        for value in (B0.zero, B0.one):
+            trace = eliminate_expr(Sum((Cube(value),)), 0, B0, [], policy)
+            assert (trace.stages, trace.final, trace.policy) == ((), value, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -701,6 +764,38 @@ def test_necessary_condition_sound_on_random_consistent_instances():
         onset = from_blocks(B0, 3, rand_partition(8, m, rng_py))
         condition = necessary_condition(f, onset)
         assert brute_consistency(condition).consistent
+
+
+def _random_onset_function(algebra, rng):
+    """A random ON set of any order (1 included) and a function that is in
+    its constant class about half the time."""
+    n = rng.randint(1, 4)
+    onset = from_blocks(algebra, n, rand_partition(1 << n, rng.randint(1, 1 << n), rng))
+    if rng.random() < 0.5:
+        constants = [rand_element(algebra, rng) for _ in range(onset.order)]
+        return _system_function(onset, constants), onset
+    return rand_function(algebra, n, rng), onset
+
+
+def test_necessary_condition_matches_its_definition():
+    # The constant product of the expansion constants in the class, and the
+    # product of the coefficient functions f*phi_i outside it.
+    rng = random.Random("necessary-condition")
+    outside = 0
+    for algebra in (B0, B2):
+        for _ in range(150):
+            f, onset = _random_onset_function(algebra, rng)
+            membership = is_in_class(f, onset)
+            if membership:
+                want = BoolFunction.constant(
+                    algebra, f.n, meet_all(membership.constants, algebra))
+            else:
+                outside += 1
+                want = BoolFunction.constant(algebra, f.n, algebra.one)
+                for phi in onset.members():
+                    want = want * (f * phi)
+            assert necessary_condition(f, onset) == want
+    assert outside >= 100
 
 
 # ---------------------------------------------------------------------------
@@ -750,3 +845,36 @@ def test_b0_consistency_requires_class_membership():
     onset = from_blocks(B0, 2, [{2, 3}, {0, 1}])
     with pytest.raises(InapplicableClassError):
         b0_consistency(f, onset)
+
+
+def test_b0_coefficient_matches_its_definition():
+    rng = random.Random("b0-coefficient")
+    seen = set()
+    for _ in range(150):
+        f, onset = _random_onset_function(B0, rng)
+        for phi in onset.members():
+            if (f * phi).is_zero:
+                want = B0.zero
+            elif (~f * phi).is_zero:
+                want = B0.one
+            else:
+                want = None
+            assert b0_coefficient(f, phi) == want
+            seen.add(want)
+    assert seen == {B0.zero, B0.one, None}
+
+
+def test_b0_consistency_matches_its_definition():
+    rng = random.Random("b0-consistency")
+    in_class = 0
+    for _ in range(150):
+        f, onset = _random_onset_function(B0, rng)
+        if not is_in_class(f, onset):
+            with pytest.raises(InapplicableClassError):
+                b0_consistency(f, onset)
+            continue
+        in_class += 1
+        for target, g in ((0, f), (1, ~f)):
+            want = any((g * phi).is_zero for phi in onset.members())
+            assert b0_consistency(f, onset, target) == want
+    assert in_class >= 60
