@@ -254,14 +254,16 @@ def _write_expr(table: np.ndarray, variables, expr: Expr, point: dict[int, int],
     bit).  A ``Cube`` is one strided write, where a literal on any other
     variable v is set by ``point[v]``, an atom mask that the term's value
     meets, and a value of 1 is assigned, which is the same and cheaper.
-    Other nodes combine their parts' tables entrywise."""
+    A term's 1 is the table algebra's 1, so a two-element term can be
+    written into 64-lane words (``algebra`` 2^64, lane patterns in
+    ``point``).  Other nodes combine their parts' tables entrywise."""
     variables = tuple(variables)
     view = table.reshape((2,) * len(variables))
     axis = {v: a for a, v in enumerate(variables)}
     full, one = algebra.full_mask, _one_value(algebra)
     for part in expr.parts if isinstance(expr, Sum) else (expr,):
         if isinstance(part, Cube):
-            mask = part.value.mask
+            mask = full if part.value.is_one else part.value.mask
             sel = [slice(None)] * len(variables)
             for v, bit in part.lits:
                 if v in axis:

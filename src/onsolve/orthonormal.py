@@ -91,7 +91,8 @@ class OrthonormalSet:
 
     @property
     def order(self) -> int:
-        return len(self.reps)
+        # Every constructor labels the blocks 0 .. order - 1.
+        return int(self.labels.max()) + 1
 
     def member(self, i: int) -> BoolFunction:
         table = np.zeros(1 << self.n, dtype=_dtype_for(self.algebra))

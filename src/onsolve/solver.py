@@ -10,6 +10,9 @@ explicit solutions of the linear ON equation, of minterm systems, and of
 systems phi_i(X) = beta_i defined by an ON set.  A problem is solved from
 its expression tree by ``eliminate_expr``, which writes stage 1 straight
 from the tree, in row slabs when the minterm stage is larger than one slab.
+Over the two-element algebra that stage is written 64 entries per uint64
+word, and only its eliminant, or its one-slab table, is unpacked to the
+``bool`` tables of the later stages.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .orthonormal import (
     ladder_terms,
     term_set,
 )
-from .parsing import Cube, Expr, Sum, cnf_expr
+from .parsing import Cube, Expr, Not, Sum, cnf_expr
 
 Assignment = dict[int, AlgebraElement]
 """Solution map: 0-based variable index -> element."""
@@ -413,8 +416,41 @@ def eliminate_blocks(f: BoolFunction, split,
 # ---------------------------------------------------------------------------
 # Expression trees: stage 1 from the tree
 
-# A slab of 2^20 entries (1 MiB) or more keeps numpy's per-call cost small.
+# A slab of 2^20 entries (1 MiB as bool, 128 KiB as words) or more keeps
+# numpy's per-call cost small.
 _SLAB_ENTRIES = 1 << 20
+
+# Over the two-element algebra a table over m >= 6 variables is written as
+# 2^(m-6) words: entry j is bit j & 63 of word j >> 6.  That is a table over
+# the first m - 6 variables whose entries are 64-lane masks, written over
+# the algebra of 64 atoms with each of the last six variables in the point:
+# low position p is the set of lanes i with bit 5 - p of i set.
+WORDS = Algebra(64)
+_LANES = tuple(sum(1 << i for i in range(64) if i >> (5 - p) & 1) for p in range(6))
+
+
+def _table_space(algebra: Algebra, variables: tuple[int, ...],
+                 packed: bool) -> tuple[Algebra, tuple[int, ...], dict[int, int]]:
+    """The algebra, the table's own variables and the point to write a
+    table over ``variables`` with: 64-entry words when ``packed``."""
+    if packed:
+        return WORDS, variables[:-6], dict(zip(variables[-6:], _LANES))
+    return algebra, variables, {}
+
+
+def _unpack(words: np.ndarray) -> np.ndarray:
+    """The ``bool`` entries of a word table, entry j from bit j & 63 of
+    word j >> 6."""
+    octets = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(octets, bitorder="little").view(bool)
+
+
+def _variables(expr: Expr) -> set[int]:
+    """The variables of the tree's literals."""
+    if isinstance(expr, Cube):
+        return {v for v, _ in expr.lits}
+    parts = (expr.arg,) if isinstance(expr, Not) else expr.parts
+    return set().union(*map(_variables, parts))
 
 
 def cnf_function(n: int, clauses, algebra: Algebra,
@@ -436,8 +472,13 @@ def eliminate_expr(expr: Expr, n: int, algebra: Algebra, split,
     them all at once to check the class, f is written once with the block
     variables first.  Otherwise they are written in slabs, runs of whole
     rows that share their leading block bits (the prefix): a copy of a
-    common buffer, which holds the cubes without a prefix variable, plus the
+    common buffer, which holds the parts without a prefix variable, plus the
     parts the prefix leaves live.  Stage 1 is then a ``CubeStage``.
+
+    Over the two-element algebra these tables are 64-entry words when the
+    rows hold at least six variables (``_table_space``).  The AND of the
+    rows and the zero-row count run on the words, and only the eliminant,
+    or the table of one slab, is unpacked for the later stages.
     """
     split = _check_split(n, split)
     _check_expr(expr, n, algebra)
@@ -446,32 +487,36 @@ def eliminate_expr(expr: Expr, n: int, algebra: Algebra, split,
     # Each slab holds 2^free rows of 2^len(remaining) entries.
     free = min(len(block), max(0, (_SLAB_ENTRIES - 1).bit_length() - len(remaining)))
     if free == len(block) or phi_policy != "minterm":
-        table = np.zeros(1 << n, dtype=_dtype_for(algebra))
-        _write_expr(table, block + remaining, expr, {}, algebra)
-        stages, g = _eliminate_stages(BoolFunction(algebra, n, table),
-                                      block + remaining, split, phi_policy)
+        packed = algebra.is_two_element and n >= 6
+        space, variables, point = _table_space(algebra, block + remaining, packed)
+        table = _write_expr(np.zeros(1 << len(variables), dtype=_dtype_for(space)),
+                            variables, expr, point, space)
+        g = BoolFunction(algebra, n, _unpack(table) if packed else table)
+        stages, g = _eliminate_stages(g, block + remaining, split, phi_policy)
         return EliminationTrace(algebra, n, split, phi_policy, tuple(stages), g.coeff(0))
     prefix = block[:len(block) - free]
-    variables = block[len(block) - free:] + remaining
+    # Whole rows of words: the last six variables are remaining ones.
+    packed = algebra.is_two_element and len(remaining) >= 6
+    space, variables, lanes = _table_space(algebra, block[len(block) - free:] + remaining,
+                                           packed)
     fixed, live = [], []
     for part in expr.parts if isinstance(expr, Sum) else (expr,):
-        pinned = isinstance(part, Cube) and not any(v in prefix for v, _ in part.lits)
-        (fixed if pinned else live).append(part)
-    common = _write_expr(np.zeros(1 << len(variables), dtype=_dtype_for(algebra)),
-                         variables, Sum(tuple(fixed)), {}, algebra)
+        (fixed if _variables(part).isdisjoint(prefix) else live).append(part)
+    common = _write_expr(np.zeros(1 << len(variables), dtype=_dtype_for(space)),
+                         variables, Sum(tuple(fixed)), lanes, space)
     live = Sum(tuple(live))
     slab = np.empty_like(common)
-    eliminant = np.full(1 << len(remaining), _one_value(algebra), dtype=common.dtype)
+    eliminant = np.full(len(common) >> free, _one_value(space), dtype=common.dtype)
     zero = 0
     for p in range(1 << len(prefix)):
         np.copyto(slab, common)
-        point = {v: bit * algebra.full_mask
-                 for v, bit in zip(prefix, point_bits(p, len(prefix)))}
-        _write_expr(slab, variables, live, point, algebra)
+        point = lanes | {v: bit * space.full_mask
+                         for v, bit in zip(prefix, point_bits(p, len(prefix)))}
+        _write_expr(slab, variables, live, point, space)
         rows = slab.reshape(1 << free, -1)
         eliminant &= np.bitwise_and.reduce(rows, axis=0)
         zero += int(np.count_nonzero(~rows.any(axis=1)))
-    g = BoolFunction(algebra, len(remaining), eliminant)
+    g = BoolFunction(algebra, len(remaining), _unpack(eliminant) if packed else eliminant)
     phi = minterm_set(len(block), algebra, var_cap=len(block))
     first = CubeStage(block, remaining, phi, expr, g, zero)
     stages, g = _eliminate_stages(g, remaining, split[1:], "minterm")

@@ -31,6 +31,7 @@ from onsolve import (
     verify_on,
 )
 from onsolve.algebra import join_all
+from onsolve.orthonormal import term_set
 
 from helpers import (
     B0,
@@ -143,6 +144,18 @@ def test_minterm_set_small():
     assert members[0] == parse("x1'", 1, B0)
     assert members[1] == parse("x1", 1, B0)
     assert minterm_set(2, B0).order == 4
+
+
+def test_order_counts_the_blocks_of_every_constructor():
+    # order reads the largest label, so every constructor must label the
+    # blocks 0 .. order - 1.
+    onsets = [minterm_set(3, B0), minterm_set(0, B2),
+              term_set(3, ladder_terms(3), B0),
+              from_blocks(B0, 2, [{3}, {0, 2}, {1}]),
+              from_blocks(B3, 0, [{0}]), worked_onset()]
+    for onset in onsets:
+        assert onset.order == len(onset.reps) == len(onset.blocks)
+    assert [onset.order for onset in onsets] == [8, 1, 4, 3, 1, 3]
 
 
 def test_minterm_set_sums_to_one_at_random_points():

@@ -1,5 +1,6 @@
 """Constructive solvers, elimination, back-substitution, two-element corollaries."""
 
+import functools
 import itertools
 import random
 
@@ -38,6 +39,7 @@ from onsolve import (
 )
 from onsolve import solver
 from onsolve.algebra import Algebra, join_all, meet, meet_all
+from onsolve.function import point_bits
 from onsolve.parsing import Cube, Not, Prod, Sum, cnf_expr
 from onsolve.solver import is_on_system
 
@@ -699,6 +701,108 @@ def test_eliminate_expr_matches_dense_stages(monkeypatch, slab):
                     consistent += policy == "minterm"
                     assert extract_solution(fast) == extract_solution(dense)
         assert consistent >= least, (algebra, make)
+
+
+def test_slab_loop_writes_parts_without_a_prefix_variable_once(monkeypatch):
+    # Slabs of 64 entries leave the whole first block {x1..x4} as the
+    # prefix: 16 slabs.  A product or a complement over other variables is
+    # written once, into the common buffer; a part on x1 once per slab.
+    monkeypatch.setattr(solver, "_SLAB_ENTRIES", 64)
+    write, calls = solver._write_expr, []
+
+    def spy(table, variables, expr, point, algebra):
+        calls.append(expr)
+        return write(table, variables, expr, point, algebra)
+
+    monkeypatch.setattr(solver, "_write_expr", spy)
+    n, split = 10, consecutive_split(10, 4)
+    for algebra in (B0, B2):
+        def x(v, bit=1):
+            return Cube(algebra.one, ((v, bit),))
+
+        product = Prod((x(4), Not(Sum((x(5, 0), Cube(algebra.one, ((6, 1), (9, 0))))))))
+        negated = Not(Sum((x(7), x(8), x(9, 0))))
+        live = Prod((x(0), x(5)))
+        expr = Sum((Cube(algebra.one, ((1, 1), (6, 0))), product, negated, live))
+        calls.clear()
+        trace = eliminate_expr(expr, n, algebra, split)
+        assert isinstance(trace.stages[0], CubeStage)
+        assert [sum(part in e.parts for e in calls)
+                for part in (product, negated, live)] == [1, 1, 16]
+        dense = eliminate_blocks(BoolFunction.from_expr(expr, n, algebra), split)
+        assert render_trace(trace) == render_trace(dense)
+        assert dense.consistent
+        assert extract_solution(trace) == extract_solution(dense)
+
+
+def test_lane_patterns():
+    # Low position p of a word's six variables: lanes i with bit 5 - p set.
+    assert solver._LANES == (0xFFFFFFFF00000000, 0xFFFF0000FFFF0000,
+                             0xFF00FF00FF00FF00, 0xF0F0F0F0F0F0F0F0,
+                             0xCCCCCCCCCCCCCCCC, 0xAAAAAAAAAAAAAAAA)
+
+
+def _lane_expr(n, rng):
+    """Two-element cubes with literals only on the last six variables (the
+    lanes of a word), only above them, or on both sides; negated literals,
+    value-0 cubes, and products with complements among them."""
+    low, high = list(range(max(0, n - 6), n)), list(range(max(0, n - 6)))
+
+    def cube(kind):
+        if not high:
+            kind = "low"
+        pool = {"low": low, "high": high, "mixed": low + high}[kind]
+        lits = set(rng.sample(pool, min(len(pool), rng.randint(2, 3))))
+        if kind == "mixed":
+            lits |= {rng.choice(low), rng.choice(high)}
+        return Cube(B0.zero if rng.random() < 0.15 else B0.one,
+                    tuple((v, rng.getrandbits(1)) for v in sorted(lits)))
+
+    parts = [cube(rng.choice(("low", "high", "mixed")))
+             for _ in range(rng.randint(2, n // 2 + 2))]
+    parts.append(Prod((cube("mixed"), Not(Sum((cube("low"), cube("high")))))))
+    parts.append(Not(Sum((Not(cube("high")), Not(cube("low"))))))
+    return Sum(tuple(parts))
+
+
+@functools.cache
+def _lane_cases():
+    """Three trees at each n, with their bool tables from ``Expr.evaluate``
+    at each 0/1 point, which no table writer builds."""
+    rng = random.Random("lanes")
+    cases = []
+    for n in (5, 6, 7, 12):
+        for _ in range(3):
+            expr = _lane_expr(n, rng)
+            table = [expr.evaluate(tuple(B0.element(b) for b in point_bits(j, n)), B0).mask
+                     for j in range(1 << n)]
+            cases.append((n, expr, BoolFunction(B0, n, np.array(table, dtype=bool))))
+    return cases
+
+
+@pytest.mark.parametrize("slab", [1, 16, 256, solver._SLAB_ENTRIES])
+def test_packed_stage_matches_evaluated_table(monkeypatch, slab):
+    # At n = 5 nothing is packed, at n = 6 a table is one word, and small
+    # slabs make the word slab loop run with rows of one or more words.
+    monkeypatch.setattr(solver, "_SLAB_ENTRIES", slab)
+    consistent = 0
+    for n, expr, f in _lane_cases():
+        for size in (1, 3, 4):
+            split = consecutive_split(n, size)
+            for policy in ("minterm", "ladder"):
+                want = _trace_or_error(eliminate_blocks, f, split, policy)
+                got = _trace_or_error(eliminate_expr, expr, n, B0, split, policy)
+                if want is None or got is None:
+                    assert want is got, (n, split, policy)
+                    continue
+                for mine, theirs in zip(got.stages, want.stages, strict=True):
+                    assert np.array_equal(mine.eliminant.table, theirs.eliminant.table)
+                    assert mine.zero_coefficients == theirs.zero_coefficients
+                assert got.final == want.final
+                if want.consistent:
+                    consistent += 1
+                    assert extract_solution(got) == extract_solution(want)
+    assert consistent >= 40
 
 
 def test_stage_table_rows_follow_the_member_order():
