@@ -87,6 +87,7 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
     n = None
     clauses: list[list[int]] = []
     pending: list[int] = []
+    widest = 0  # the largest |literal| read
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith(("c", "%")):
@@ -97,21 +98,28 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
                 raise ProblemFormatError(f"bad DIMACS header {line!r}")
             n = _integer(fields[2], lineno)
             continue
-        for tok in line.split():
-            lit = _integer(tok, lineno)
-            if lit == 0:
-                clauses.append(pending)
-                pending = []
-            else:
+        try:
+            for lit in map(int, line.split()):
+                if not lit:
+                    clauses.append(pending)
+                    pending = []
+                    continue
                 pending.append(lit)
+                if lit > widest or -lit > widest:
+                    widest = abs(lit)
+        except ValueError:
+            for tok in line.split():
+                _integer(tok, lineno)  # raises on the first bad token
+            raise
     if pending:
         clauses.append(pending)
     if n is None:
         raise ProblemFormatError("missing DIMACS problem line")
-    for clause in clauses:
-        for lit in clause:
-            if not 1 <= abs(lit) <= n:
-                raise ProblemFormatError(f"literal {lit} outside 1..{n}")
+    if widest > n:
+        for clause in clauses:
+            for lit in clause:
+                if abs(lit) > n:
+                    raise ProblemFormatError(f"literal {lit} outside 1..{n}")
     return n, clauses
 
 

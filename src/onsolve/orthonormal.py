@@ -69,7 +69,9 @@ class OrthonormalSet:
     @cached_property
     def reps(self) -> np.ndarray:
         """The smallest minterm of each block, in block order."""
-        reps = np.unique(self.labels, return_index=True)[1]
+        # One unbuffered pass over the labels, not a sort.
+        reps = np.full(self.order, len(self.labels), dtype=np.intp)
+        np.minimum.at(reps, self.labels, np.arange(len(self.labels)))
         reps.flags.writeable = False
         return reps
 

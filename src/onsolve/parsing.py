@@ -23,8 +23,16 @@ A product of cubes is one cube (values meet, and a variable met in both
 polarities makes the value 0); a prime on a constant or on a bare literal
 is a cube; a sum of constants is a constant.  ``Sum``, ``Prod`` and ``Not``
 nodes remain only for other shapes, such as a complemented sum that holds
-variables.  A DIMACS clause list is read into the same tree by ``cnf_expr``:
-a ``Sum`` of one ``Cube`` per clause.
+variables.  While it reads, a cube travels as a plain ``(mask, lits)`` pair
+(an atom mask and the literal tuple); its ``Cube`` and ``AlgebraElement``
+are built once, where the pair joins the tree: as a part of a ``Sum``,
+``Prod`` or ``Not``, or as the whole expression.  So a product term such as
+``(a0+a2)*x1*x3'`` costs one ``Cube``.  A DIMACS clause list is read into
+the same tree by ``cnf_expr``: a ``Sum`` of one ``Cube`` per clause.
+
+At most ``MAX_NESTING`` (100) parentheses may be open at once, and at most
+as many ``Not`` nodes may lie on one path of the tree; past either limit the
+text is a syntax error at the ``(`` or the ``'`` that crosses it.
 """
 
 from __future__ import annotations
@@ -108,6 +116,11 @@ class Not(Expr):
 _LETTER_ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}  # 1-based variable numbers
 _PUNCTUATION = "01+*'()"  # each is one token, of its own kind
 _FACTOR_START = {"0", "1", "(", "NAME"}
+MAX_NESTING = 100
+"""Most parentheses open at once, and most ``Not`` nodes on one path of the
+tree.  The parser and the tree walks after it (``Expr.evaluate``, the table
+writers) recurse once per level, so a deeper text is a syntax error rather
+than a ``RecursionError``."""
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -134,12 +147,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent over the tokens.  ``primary``, ``factor``, ``term``
+    and ``expr`` return a node, or a cube as a plain ``(mask, lits)`` pair:
+    an atom mask and a tuple of (variable, bit) pairs over distinct
+    variables.  ``cube`` turns a pair into its ``Cube`` where it joins the
+    tree."""
+
     def __init__(self, text: str, n: int, algebra: Algebra,
                  var_names: dict[str, int] | None):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # open parentheses around the current token
+        self.nots = {}  # id of a Sum/Prod/Not -> most Not nodes on a path in it
         self.n = n
         self.algebra = algebra
+        self.full = algebra.full_mask
         self.var_names = var_names  # name -> 0-based index, or None
 
     def peek(self) -> tuple[str, str, int]:
@@ -150,28 +172,42 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def cube(self, part: Expr | tuple[int, tuple]) -> Expr:
+        if type(part) is tuple:
+            mask, lits = part
+            return Cube(self.algebra.element(mask), lits)
+        return part
+
+    def node(self, e: Sum | Prod) -> Expr:
+        """``e``, after noting in ``nots`` the most ``Not`` nodes on one path
+        through its parts."""
+        nots = max(self.nots.get(id(p), 0) for p in e.parts)
+        if nots:
+            self.nots[id(e)] = nots
+        return e
+
     def parse(self) -> Expr:
         e = self.expr()
         kind, text, pos = self.peek()
         if kind != "END":
             raise ExpressionSyntaxError(f"unexpected {text!r}", pos)
-        return e
+        return self.cube(e)
 
-    def expr(self) -> Expr:
+    def expr(self) -> Expr | tuple[int, tuple]:
         parts = [self.term()]
         while self.peek()[0] == "+":
             self.pos += 1
             parts.append(self.term())
         if len(parts) == 1:
             return parts[0]
-        if all(isinstance(p, Cube) and not p.lits for p in parts):
+        if all(type(p) is tuple and not p[1] for p in parts):
             mask = 0
-            for p in parts:
-                mask |= p.value.mask
-            return Cube(self.algebra.element(mask))
-        return Sum(tuple(parts))
+            for m, _ in parts:
+                mask |= m
+            return mask, ()
+        return self.node(Sum(tuple(map(self.cube, parts))))
 
-    def term(self) -> Expr:
+    def term(self) -> Expr | tuple[int, tuple]:
         parts = [self.factor()]
         while True:
             kind = self.peek()[0]
@@ -182,52 +218,62 @@ class _Parser:
             parts.append(self.factor())
         if len(parts) == 1:
             return parts[0]
-        if not all(isinstance(p, Cube) for p in parts):
-            return Prod(tuple(parts))
-        mask, lits = self.algebra.full_mask, {}
-        for p in parts:
-            mask &= p.value.mask
-            for v, bit in p.lits:
+        if not all(type(p) is tuple for p in parts):
+            return self.node(Prod(tuple(map(self.cube, parts))))
+        mask, lits = self.full, {}
+        for m, ls in parts:
+            mask &= m
+            for v, bit in ls:
                 if lits.setdefault(v, bit) != bit:
                     mask = 0
-        return Cube(self.algebra.element(mask), tuple(lits.items()))
+        return mask, tuple(lits.items())
 
-    def factor(self) -> Expr:
+    def factor(self) -> Expr | tuple[int, tuple]:
         e = self.primary()
         while self.peek()[0] == "'":
-            self.pos += 1
-            if isinstance(e, Cube) and not e.lits:
-                e = Cube(complement(e.value))
-            elif isinstance(e, Cube) and len(e.lits) == 1 and e.value.is_one:
-                ((v, bit),) = e.lits
-                e = Cube(e.value, ((v, 1 - bit),))
+            pos = self.next()[2]
+            if type(e) is tuple and not e[1]:
+                e = e[0] ^ self.full, ()
+            elif type(e) is tuple and len(e[1]) == 1 and e[0] == self.full:
+                ((v, bit),) = e[1]
+                e = e[0], ((v, 1 - bit),)
             else:
-                e = Not(e)
+                nots = self.nots.get(id(e), 0) + 1
+                if nots > MAX_NESTING:
+                    raise ExpressionSyntaxError(
+                        f"complements nested deeper than {MAX_NESTING}", pos)
+                e = Not(self.cube(e))
+                self.nots[id(e)] = nots
         return e
 
-    def primary(self) -> Expr:
+    def primary(self) -> Expr | tuple[int, tuple]:
         kind, text, pos = self.next()
+        if kind == "NAME":
+            return self.resolve_name(text, pos)
         if kind == "0":
-            return Cube(self.algebra.zero)
+            return 0, ()
         if kind == "1":
-            return Cube(self.algebra.one)
+            return self.full, ()
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ExpressionSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             e = self.expr()
+            self.depth -= 1
             kind, _, pos = self.next()
             if kind != ")":
                 raise ExpressionSyntaxError("expected ')'", pos)
             return e
-        if kind == "NAME":
-            return self.resolve_name(text, pos)
         raise ExpressionSyntaxError(f"unexpected {text or 'end of input'!r}", pos)
 
-    def resolve_name(self, name: str, pos: int) -> Cube:
+    def resolve_name(self, name: str, pos: int) -> tuple[int, tuple]:
         # A NAME token is a letter and digits, so an ASCII name longer than
         # one character is a letter and an ASCII number.
         numbered = len(name) > 1 and name.isascii()
         if self.var_names is not None:
             if name in self.var_names:
-                return Cube(self.algebra.one, ((self.var_names[name], 1),))
+                return self.full, ((self.var_names[name], 1),)
             if name[0] == "a" and numbered:
                 return self.resolve_atom(name, pos)
             raise ExpressionSyntaxError(f"unknown variable {name!r}", pos)
@@ -236,20 +282,20 @@ class _Parser:
             if not 1 <= number <= self.n:
                 raise ExpressionSyntaxError(
                     f"variable {name!r} outside x1..x{self.n}", pos)
-            return Cube(self.algebra.one, ((number - 1, 1),))
+            return self.full, ((number - 1, 1),)
         if name[0] == "a" and numbered:
             return self.resolve_atom(name, pos)
         if name in _LETTER_ALIASES and _LETTER_ALIASES[name] <= self.n:
-            return Cube(self.algebra.one, ((_LETTER_ALIASES[name] - 1, 1),))
+            return self.full, ((_LETTER_ALIASES[name] - 1, 1),)
         raise ExpressionSyntaxError(f"unknown symbol {name!r}", pos)
 
-    def resolve_atom(self, name: str, pos: int) -> Cube:
+    def resolve_atom(self, name: str, pos: int) -> tuple[int, tuple]:
         atom = int(name[1:])
         if atom >= self.algebra.atom_count:
             raise ExpressionSyntaxError(
                 f"unknown atom {name!r} (algebra has "
                 f"{self.algebra.atom_count} atoms)", pos)
-        return Cube(self.algebra.atom(atom))
+        return 1 << atom, ()
 
 
 def parse_expr(text: str, n: int, algebra: Algebra,
@@ -276,7 +322,8 @@ def cnf_expr(clauses, algebra: Algebra) -> Sum:
     one, parts = algebra.one, []
     for clause in clauses:
         lits = {abs(lit) - 1: int(lit < 0) for lit in clause}
-        if len(lits) == len(set(clause)):
+        # Only a clause that repeats a variable can hold both polarities.
+        if len(lits) == len(clause) or len(lits) == len(set(clause)):
             parts.append(Cube(one, tuple(lits.items())))
     return Sum(tuple(parts))
 

@@ -319,6 +319,57 @@ def test_solve_error_exit_code(capsys, tmp_path):
                    "(at position 0)\n")
 
 
+def _nested(levels: int) -> str:
+    """x1 + x2 (x1 + x2 (…)')': a Sum, a Prod and a Not at every level."""
+    text = "x1 x2"
+    for _ in range(levels):
+        text = f"x1 + x2 ({text})'"
+    return text
+
+
+@pytest.mark.parametrize("equation, message", [
+    pytest.param("(" * 400 + "x1" + ")" * 400,
+                 "parentheses nested deeper than 100 (at position 100)",
+                 id="parentheses"),
+    pytest.param("(x1+" * 300 + "x1" + ")" * 300,
+                 "parentheses nested deeper than 100 (at position 400)",
+                 id="sum-chain"),
+    pytest.param(f"({_nested(100)})",
+                 "parentheses nested deeper than 100 (at position 900)",
+                 id="one-past-the-limit"),
+    pytest.param("(x1+x2)" + "'" * 400,
+                 "complements nested deeper than 100 (at position 107)",
+                 id="complements"),
+])
+def test_solve_rejects_deep_nesting_before_elimination(capsys, monkeypatch,
+                                                       tmp_path, equation, message):
+    def eliminate_expr(*args, **kwargs):
+        raise AssertionError("eliminated")
+
+    monkeypatch.setattr(cli, "eliminate_expr", eliminate_expr)
+    problem = tmp_path / "deep.txt"
+    problem.write_text(f"vars 2\nequation {equation}\n")
+    assert run(capsys, "solve", str(problem)) == (
+        2, "", f"error: bad equation: {message}\n")
+
+
+def test_nesting_at_the_limit_solves(capsys, tmp_path):
+    # 100 parentheses, each around a Sum, a Prod and a Not: every tree walk
+    # after the parser fits in the recursion limit, under both policies.
+    problem = tmp_path / "deep.txt"
+    problem.write_text(f"vars 2\nequation {_nested(100)}\n")
+    model = tmp_path / "model.txt"
+    for policy in ("minterm", "ladder"):
+        code, out, err = run(capsys, "solve", str(problem), "--trace",
+                             "--block-size", "1", "--phi-policy", policy)
+        assert (code, err) == (0, ""), err
+        model.write_text(out.splitlines()[1].removeprefix("model:"))
+        assert run(capsys, "solve", str(problem), "--check-model", str(model)) == (
+            0, "model verifies: f = 0\n", "")
+    code, out, _ = run(capsys, "verify", str(problem))
+    assert code == 0 and "agree: 1/1" in out
+
+
 def test_model_roundtrip(capsys, tmp_path):
     for name in ("walkthrough3.txt", "rand8_sat.cnf", "general_b3.txt",
                  "majority.txt"):
@@ -525,6 +576,22 @@ def test_parse_dimacs():
     with pytest.raises(ProblemFormatError,
                        match="line 2: expected an integer, got 'x'"):
         parse_dimacs("p cnf 2 1\n1 x 0\n")
+
+
+def test_parse_dimacs_reads_clauses_across_lines_and_checks_literals_last():
+    n, clauses = parse_dimacs("p cnf 3 3\n1 0 -2 3 0 2\n-1 0\n")
+    assert n == 3 and clauses == [[1], [-2, 3], [2, -1]]
+    # The range check runs once every token is read and the header is
+    # known, and it names the first literal outside 1..n in file order.
+    for text, message in [
+        ("p cnf 2 2\n1 -3 0\n2 0\n", "literal -3 outside 1..2"),
+        ("1 2 0\n-4 5 0\np cnf 3 2\n", "literal -4 outside 1..3"),
+        ("p cnf 2 2\n3 0\n1 y 0\n", "line 3: expected an integer, got 'y'"),
+        ("1 9 0\n", "missing DIMACS problem line"),
+    ]:
+        with pytest.raises(ProblemFormatError) as err:
+            parse_dimacs(text)
+        assert str(err.value) == message, text
 
 
 def test_cnf_function_semantics():

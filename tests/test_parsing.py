@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from onsolve import (Algebra, ExpressionSyntaxError, complement, join, meet,
                      parse, parse_element)
 from onsolve.function import point_bits
-from onsolve.parsing import Cube
+from onsolve.parsing import Cube, Not, Prod, Sum, parse_expr
 
-from helpers import B0, B2, EXPR_ALGEBRAS
+from helpers import B0, B2, B3, EXPR_ALGEBRAS
 
 
 def table_of(text, n, algebra=B0, **kw):
@@ -101,8 +101,9 @@ def test_algebra_parse_shortcut():
 
 
 # (text, n, algebra, var_names, message, position) for every kind of
-# ExpressionSyntaxError.  In the last four rows a letter carries non-ASCII
-# digits (superscript two, Arabic-Indic three): they name no variable or atom.
+# ExpressionSyntaxError.  In the four rows before the last two a letter
+# carries non-ASCII digits (superscript two, Arabic-Indic three): they name no
+# variable or atom.  The last two pass the nesting limit, MAX_NESTING = 100.
 SYNTAX_ERRORS = [
     ("x1 ?", 1, B0, None, "unexpected character '?'", 3),
     ("x1 + + x2", 2, B0, None, "unexpected '+'", 5),
@@ -130,6 +131,12 @@ SYNTAX_ERRORS = [
     ("x1 x٣", 3, B0, None, "unknown symbol 'x٣'", 3),
     ("a1² x1", 1, B2, None, "unknown symbol 'a1²'", 0),
     ("p a1²", 1, B2, ["p"], "unknown variable 'a1²'", 2),
+    pytest.param("(" * 101 + "x1" + ")" * 101, 1, B0, None,
+                 "parentheses nested deeper than 100", 100,
+                 id="parentheses-too-deep"),
+    pytest.param("((x1+x2)" + "'" * 60 + " x1)" + "'" * 41, 2, B0, None,
+                 "complements nested deeper than 100", 112,
+                 id="complements-too-deep"),
 ]
 
 
@@ -145,6 +152,56 @@ def test_syntax_error_messages(text, n, algebra, names, message, position):
 def test_declared_names_with_unicode_letters_and_digits():
     got = table_of("α β' + p²", 3, var_names=["α", "β", "p²"])
     assert got == table_of("x1 x2' + x3", 3)
+
+
+def test_nesting_limit_counts_levels_not_length():
+    # 100 open parentheses, or 100 Not nodes on one path, still parse; many
+    # groups side by side count once.
+    parse_expr("(" * 100 + "x1" + ")" * 100, 1, B0)
+    parse_expr("((x1+x2)" + "'" * 60 + " x1)" + "'" * 40, 2, B0)
+    parse_expr(" + ".join(["((x1+x2)" + "'" * 99 + ")"] * 60), 2, B0)
+
+
+B00 = Algebra(0)
+
+
+def _lit(v, bit=1, algebra=B0):
+    return Cube(algebra.one, ((v, bit),))
+
+
+# (text, n, algebra, tree): the exact tree parse_expr returns.  A product of
+# cubes folds to one Cube, its literals in the order first met; Sum, Prod and
+# Not remain only where a part leaves the cube shape.
+GOLDEN_TREES = [
+    ("a1", 0, B2, Cube(B2.element(0b10))),
+    ("a0+a1", 0, B2, Cube(B2.one)),
+    ("0 + a0", 0, B2, Cube(B2.element(0b01))),
+    ("x1''", 1, B0, _lit(0)),
+    ("x1'''", 1, B0, _lit(0, 0)),
+    ("(a0+a1)'", 0, B2, Cube(B2.zero)),
+    ("a1'", 0, B2, Cube(B2.element(0b01))),
+    ("(a0+a2)*x1*x3'", 3, B3, Cube(B3.element(0b101), ((0, 1), (2, 0)))),
+    ("x3 (a1 x1) x3 a2", 3, B3, Cube(B3.zero, ((2, 1), (0, 1)))),
+    ("x1 x1'", 1, B0, Cube(B0.zero, ((0, 1),))),
+    ("x2 x1 x2'", 2, B0, Cube(B0.zero, ((1, 1), (0, 1)))),
+    ("x1 (x2+x3)", 3, B0, Prod((_lit(0), Sum((_lit(1), _lit(2)))))),
+    ("(x1+x2)'", 2, B0, Not(Sum((_lit(0), _lit(1))))),
+    ("(x1 x2)''", 2, B0, Not(Not(Cube(B0.one, ((0, 1), (1, 1)))))),
+    ("(a0 x1)'", 1, B2, Not(Cube(B2.element(0b01), ((0, 1),)))),
+    ("a1 x1 x2' + x3 (x1+x2) + a0", 3, B2,
+     Sum((Cube(B2.element(0b10), ((0, 1), (1, 0))),
+          Prod((_lit(2, 1, B2), Sum((_lit(0, 1, B2), _lit(1, 1, B2))))),
+          Cube(B2.element(0b01))))),
+    ("((x1))", 1, B0, _lit(0)),
+    ("1", 1, B00, Cube(B00.one)),
+    ("x1' + 0", 1, B00, Sum((_lit(0, 0, B00), Cube(B00.zero)))),
+    ("x1 x2", 2, B00, Cube(B00.one, ((0, 1), (1, 1)))),
+]
+
+
+@pytest.mark.parametrize("text, n, algebra, tree", GOLDEN_TREES)
+def test_parse_expr_builds_the_golden_tree(text, n, algebra, tree):
+    assert parse_expr(text, n, algebra) == tree
 
 
 def test_cube_rejects_a_repeated_variable():
