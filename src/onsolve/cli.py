@@ -273,6 +273,8 @@ def parse_model(text: str, problem: ProblemFile) -> Assignment:
             raise ProblemFormatError(f"bad model token {tok!r}")
         if name not in problem.var_names:
             raise ProblemFormatError(f"unknown variable {name!r} in model")
+        if problem.var_names.index(name) in values:
+            raise ProblemFormatError(f"variable {name!r} set twice in model")
         values[problem.var_names.index(name)] = parse_element(literal, problem.algebra)
     missing = [problem.var_names[i] for i in range(problem.n) if i not in values]
     if missing:

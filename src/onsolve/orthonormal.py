@@ -193,6 +193,14 @@ def term_set(n: int, terms, algebra: Algebra) -> OrthonormalSet:
     return verify_on([term_to_function(t, n, algebra, var_cap=n) for t in terms])
 
 
+def ladder_set(m: int, algebra: Algebra) -> OrthonormalSet:
+    """``term_set(m, ladder_terms(m), algebra)`` without its member tables:
+    block i holds the minterms with i leading 1 bits, a run of 2^(m-i-1)
+    minterms for i < m, and block m the last minterm.  m = 0 is one block."""
+    runs = [1 << (m - i - 1) for i in range(m)] + [1]
+    return OrthonormalSet(algebra, m, np.repeat(np.arange(m + 1), runs))
+
+
 @dataclass(frozen=True)
 class CoefficientInterval:
     """Constant coefficient range [low, high] for one ON member."""

@@ -9,10 +9,10 @@ Back-substitution then rebuilds a concrete solution stage by stage, using the
 explicit solutions of the linear ON equation, of minterm systems, and of
 systems phi_i(X) = beta_i defined by an ON set.  A problem is solved from
 its expression tree by ``eliminate_expr``, which writes stage 1 straight
-from the tree, in row slabs when the minterm stage is larger than one slab.
-Over the two-element algebra that stage is written 64 entries per uint64
-word, and only its eliminant, or its one-slab table, is unpacked to the
-``bool`` tables of the later stages.
+from the tree in row slabs under either ON-set policy.  Over the
+two-element algebra a slab is written 64 entries per uint64 word, and only
+the eliminant and the kept table are unpacked to the ``bool`` tables of the
+later stages.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ from .orthonormal import (
     OrthonormalSet,
     coefficient_interval,
     is_in_class,
+    ladder_set,
     minterm_set,
-    ladder_terms,
-    term_set,
 )
 from .parsing import Cube, Expr, Not, Sum, cnf_expr
 
@@ -246,19 +245,32 @@ def _block_rows(f: BoolFunction, block: tuple[int, ...]) -> np.ndarray:
     return np.ascontiguousarray(moved).reshape(1 << b, 1 << (n - b))
 
 
+def _fold_rows(table: np.ndarray, rows: np.ndarray, lo: int,
+               phi: OrthonormalSet) -> None:
+    """Store each of the rows of block minterms lo, lo + 1, .. that is its
+    ON block's first (``phi.reps``) as the block's row of ``table``, and
+    check every row against its block's row.  Fed in index order, the rows
+    meet each block's first row before its others."""
+    labels = phi.labels[lo:lo + len(rows)]
+    first = phi.reps[labels] == np.arange(lo, lo + len(rows))
+    table[labels[first]] = rows[first]
+    if not np.array_equal(table[labels], rows):
+        raise InapplicableClassError(
+            "no coefficient over the remaining variables exists for a "
+            "member of the block ON set; the function is outside the class")
+
+
 def _stage_expand(f: BoolFunction, block: tuple[int, ...],
                   phi: OrthonormalSet) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (order, 2**rest) coefficient table of f's expansion in the
     ON set on the block, plus the eliminant table (the AND of its rows).
     Row i is f restricted to the smallest minterm of block i; f is in the
     class when every minterm's restriction equals its block's row."""
-    rows = _block_rows(f, block)
-    # The block minterms in index order need no gather: the rows are the table.
-    table = rows if np.array_equal(phi.labels, np.arange(len(rows))) else rows[phi.reps]
-    if phi.order < len(rows) and not np.array_equal(table[phi.labels], rows):
-        raise InapplicableClassError(
-            "no coefficient over the remaining variables exists for a "
-            "member of the block ON set; the function is outside the class")
+    table = rows = _block_rows(f, block)
+    # The block minterms in index order need no fold: the rows are the table.
+    if not np.array_equal(phi.labels, np.arange(len(rows))):
+        table = np.empty((phi.order, rows.shape[1]), dtype=rows.dtype)
+        _fold_rows(table, rows, 0, phi)
     table.flags.writeable = False
     return table, np.bitwise_and.reduce(table, axis=0)
 
@@ -267,7 +279,7 @@ def _local_onset(policy: str, width: int, algebra: Algebra) -> OrthonormalSet:
     if policy == "minterm":
         return minterm_set(width, algebra, var_cap=width)
     if policy == "ladder":
-        return term_set(width, ladder_terms(width), algebra)
+        return ladder_set(width, algebra)
     raise ValueError('phi policy must be "minterm" or "ladder"')
 
 
@@ -332,7 +344,7 @@ class EliminationStage:
 @dataclass(frozen=True)
 class CubeStage:
     """Stage 1 under the minterm policy when its table is larger than one
-    slab: it keeps the expression instead of the table."""
+    slab: it keeps the expression instead of the table (ladder keeps one)."""
 
     block: tuple[int, ...]
     remaining: tuple[int, ...]
@@ -429,15 +441,6 @@ WORDS = Algebra(64)
 _LANES = tuple(sum(1 << i for i in range(64) if i >> (5 - p) & 1) for p in range(6))
 
 
-def _table_space(algebra: Algebra, variables: tuple[int, ...],
-                 packed: bool) -> tuple[Algebra, tuple[int, ...], dict[int, int]]:
-    """The algebra, the table's own variables and the point to write a
-    table over ``variables`` with: 64-entry words when ``packed``."""
-    if packed:
-        return WORDS, variables[:-6], dict(zip(variables[-6:], _LANES))
-    return algebra, variables, {}
-
-
 def _unpack(words: np.ndarray) -> np.ndarray:
     """The ``bool`` entries of a word table, entry j from bit j & 63 of
     word j >> 6."""
@@ -464,64 +467,72 @@ def cnf_function(n: int, clauses, algebra: Algebra,
 def eliminate_expr(expr: Expr, n: int, algebra: Algebra, split,
                    phi_policy: str = "minterm") -> EliminationTrace:
     """``eliminate_blocks(BoolFunction.from_expr(expr, n, algebra), split,
-    phi_policy)``, without a 2^n table when stage 1 is larger than one slab
-    under the minterm policy.
+    phi_policy)``, without a 2^n table when stage 1 is larger than one slab.
 
     Row A of stage 1 is f with the first block at A, and the eliminant is
-    the AND of the rows.  When the rows fit in one slab, or the policy needs
-    them all at once to check the class, f is written once with the block
-    variables first.  Otherwise they are written in slabs, runs of whole
-    rows that share their leading block bits (the prefix): a copy of a
+    the AND of the rows.  They are written in slabs, runs of whole rows that
+    share their leading block bits (the prefix), in index order: one slab
+    holds every row when they fit, and otherwise each slab is a copy of a
     common buffer, which holds the parts without a prefix variable, plus the
-    parts the prefix leaves live.  Stage 1 is then a ``CubeStage``.
+    parts the prefix leaves live.  ``_fold_rows`` keeps the (order, 2^rest)
+    coefficient table and checks the class.  The block minterms need no
+    fold, and past one slab they keep no table: stage 1 is a ``CubeStage``.
 
-    Over the two-element algebra these tables are 64-entry words when the
-    rows hold at least six variables (``_table_space``).  The AND of the
-    rows and the zero-row count run on the words, and only the eliminant,
-    or the table of one slab, is unpacked for the later stages.
+    Over the two-element algebra a slab over six or more variables is
+    written as 64-entry words.  When the rows are whole words, the AND, the
+    zero-row count and the class check run on the words; otherwise the slab
+    is unpacked first.  Only the eliminant and the kept table are unpacked.
     """
     split = _check_split(n, split)
     _check_expr(expr, n, algebra)
     block = split[0] if split else ()
     remaining = tuple(i for i in range(n) if i not in block)
+    phi = _local_onset(phi_policy, len(block), algebra)
     # Each slab holds 2^free rows of 2^len(remaining) entries.
     free = min(len(block), max(0, (_SLAB_ENTRIES - 1).bit_length() - len(remaining)))
-    if free == len(block) or phi_policy != "minterm":
-        packed = algebra.is_two_element and n >= 6
-        space, variables, point = _table_space(algebra, block + remaining, packed)
-        table = _write_expr(np.zeros(1 << len(variables), dtype=_dtype_for(space)),
-                            variables, expr, point, space)
-        g = BoolFunction(algebra, n, _unpack(table) if packed else table)
-        stages, g = _eliminate_stages(g, block + remaining, split, phi_policy)
-        return EliminationTrace(algebra, n, split, phi_policy, tuple(stages), g.coeff(0))
-    prefix = block[:len(block) - free]
-    # Whole rows of words: the last six variables are remaining ones.
-    packed = algebra.is_two_element and len(remaining) >= 6
-    space, variables, lanes = _table_space(algebra, block[len(block) - free:] + remaining,
-                                           packed)
-    fixed, live = [], []
-    for part in expr.parts if isinstance(expr, Sum) else (expr,):
-        (fixed if _variables(part).isdisjoint(prefix) else live).append(part)
-    common = _write_expr(np.zeros(1 << len(variables), dtype=_dtype_for(space)),
-                         variables, Sum(tuple(fixed)), lanes, space)
-    live = Sum(tuple(live))
-    slab = np.empty_like(common)
-    eliminant = np.full(len(common) >> free, _one_value(space), dtype=common.dtype)
+    prefix, variables = block[:len(block) - free], block[len(block) - free:] + remaining
+    space, lanes = algebra, {}
+    if algebra.is_two_element and len(variables) >= 6:
+        space, variables, lanes = WORDS, variables[:-6], dict(zip(variables[-6:], _LANES))
+    words = algebra.is_two_element and len(remaining) >= 6
+    common, live = np.zeros(1 << len(variables), dtype=_dtype_for(space)), expr
+    if prefix:
+        fixed, live = [], []
+        for part in expr.parts if isinstance(expr, Sum) else (expr,):
+            (fixed if _variables(part).isdisjoint(prefix) else live).append(part)
+        _write_expr(common, variables, Sum(tuple(fixed)), lanes, space)
+        live = Sum(tuple(live))
+    # One slab is written in place: np.copyto of an array onto itself is free.
+    slab = np.empty_like(common) if prefix else common
+    row_space = space if words else algebra
+    eliminant = np.full(1 << len(remaining) >> 6 * words, _one_value(row_space),
+                        dtype=_dtype_for(row_space))
+    table = None if phi_policy == "minterm" else np.empty((phi.order, len(eliminant)),
+                                                          dtype=eliminant.dtype)
     zero = 0
     for p in range(1 << len(prefix)):
         np.copyto(slab, common)
         point = lanes | {v: bit * space.full_mask
                          for v, bit in zip(prefix, point_bits(p, len(prefix)))}
         _write_expr(slab, variables, live, point, space)
-        rows = slab.reshape(1 << free, -1)
+        rows = (slab if words or space is algebra else _unpack(slab)).reshape(1 << free, -1)
         eliminant &= np.bitwise_and.reduce(rows, axis=0)
-        zero += int(np.count_nonzero(~rows.any(axis=1)))
-    g = BoolFunction(algebra, len(remaining), _unpack(eliminant) if packed else eliminant)
-    phi = minterm_set(len(block), algebra, var_cap=len(block))
-    first = CubeStage(block, remaining, phi, expr, g, zero)
-    stages, g = _eliminate_stages(g, remaining, split[1:], "minterm")
-    return EliminationTrace(algebra, n, split, "minterm",
-                            (first, *stages), g.coeff(0))
+        if table is not None:
+            _fold_rows(table, rows, p << free, phi)
+        elif prefix:
+            zero += int(np.count_nonzero(~rows.any(axis=1)))
+    g = BoolFunction(algebra, len(remaining), _unpack(eliminant) if words else eliminant)
+    if table is None and prefix:
+        first = CubeStage(block, remaining, phi, expr, g, zero)
+    else:
+        table = rows if table is None else table
+        table = _unpack(table).reshape(len(table), -1) if words else table
+        table.flags.writeable = False
+        first = EliminationStage(block, remaining, phi, table, g)
+    stages, g = _eliminate_stages(g, remaining, split[1:], phi_policy)
+    # At n = 0 the split is empty: the one row is f's value, and no stage.
+    return EliminationTrace(algebra, n, split, phi_policy,
+                            (first, *stages)[:len(split)], g.coeff(0))
 
 
 def extract_solution(trace: EliminationTrace) -> Assignment:

@@ -393,6 +393,16 @@ def test_check_model_rejects_wrong_model(capsys, tmp_path):
     assert "model fails" in out
 
 
+def test_check_model_rejects_a_repeated_variable(capsys, tmp_path):
+    # The first x=1 alone makes f = 1; a later x=0 must not override it.
+    model_file = tmp_path / "model.txt"
+    model_file.write_text("x=1 y=1 z=1 x=0\n")
+    code, out, err = run(capsys, "solve", str(INSTANCES / "walkthrough3.txt"),
+                         "--check-model", str(model_file))
+    assert (code, out) == (2, "")
+    assert err == "error: variable 'x' set twice in model\n"
+
+
 def test_check_model_cnf_evaluates_clauses(capsys, monkeypatch, tmp_path):
     # Over {0, 1} a DIMACS model is checked against the clauses, so
     # `--check-model` builds no table; it agrees with the table everywhere.

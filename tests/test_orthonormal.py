@@ -22,6 +22,7 @@ from onsolve import (
     format_on_set,
     from_blocks,
     is_in_class,
+    ladder_set,
     ladder_terms,
     leq,
     minterm_set,
@@ -152,10 +153,20 @@ def test_order_counts_the_blocks_of_every_constructor():
     onsets = [minterm_set(3, B0), minterm_set(0, B2),
               term_set(3, ladder_terms(3), B0),
               from_blocks(B0, 2, [{3}, {0, 2}, {1}]),
-              from_blocks(B3, 0, [{0}]), worked_onset()]
+              from_blocks(B3, 0, [{0}]), worked_onset(), ladder_set(3, B0)]
     for onset in onsets:
         assert onset.order == len(onset.reps) == len(onset.blocks)
-    assert [onset.order for onset in onsets] == [8, 1, 4, 3, 1, 3]
+    assert [onset.order for onset in onsets] == [8, 1, 4, 3, 1, 3, 4]
+
+
+def test_ladder_set_labels_the_ladder_terms():
+    # Block i is the run of minterms with i leading 1 bits; m = 0 is the
+    # one block of minterm_set(0).
+    for m in range(1, 13):
+        want = term_set(m, ladder_terms(m), B0).labels
+        assert np.array_equal(ladder_set(m, B0).labels, want), m
+    assert np.array_equal(ladder_set(0, B2).labels, minterm_set(0, B2).labels)
+    assert ladder_set(3, B2) == term_set(3, ladder_terms(3), B2)
 
 
 def test_minterm_set_sums_to_one_at_random_points():

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -815,6 +816,45 @@ def test_stage_table_rows_follow_the_member_order():
         rows = f.table.reshape(4, 2)
         assert np.array_equal(table, rows[order])
         assert np.array_equal(eliminant, np.bitwise_and.reduce(rows, axis=0))
+
+
+# Clauses over x1, x5, .., x21 only: each block of four depends on its first
+# variable alone, so the function is in every ladder stage's class.
+LADDER_CLAUSES = [[1, -5, 9], [-1, 13, -17], [5, -13, 21], [-9, 17, -21],
+                  [1, 9, 13], [-5, -9, -13]]
+
+
+def test_ladder_slab_loop_builds_no_full_table():
+    # At n = 24 the ladder stage 1 spans 16 slabs of one row: its table is
+    # five rows of 2^20 entries, never the 2^24 entries of f.
+    n, split = 24, consecutive_split(24, 4)
+    expr = cnf_expr(LADDER_CLAUSES, B0)
+    tracemalloc.start()
+    try:
+        trace = eliminate_expr(expr, n, B0, split, "ladder")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << n
+    dense = eliminate_blocks(BoolFunction.from_expr(expr, n, B0), split, "ladder")
+    assert dense.consistent and trace.final == dense.final
+    for got, want in zip(trace.stages, dense.stages, strict=True):
+        assert (got.block, got.remaining, got.phi) == (want.block, want.remaining, want.phi)
+        assert np.array_equal(got.table, want.table)
+        assert np.array_equal(got.eliminant.table, want.eliminant.table)
+    assert render_trace(trace) == render_trace(dense)
+    assert extract_solution(trace) == extract_solution(dense)
+
+
+@pytest.mark.parametrize("clause", [[2, -9], [-6, 13]])
+def test_ladder_slab_loop_rejects_out_of_class(clause):
+    # x2 breaks stage 1's class in the slab loop, x6 stage 2's.
+    n, split = 24, consecutive_split(24, 4)
+    expr = cnf_expr(LADDER_CLAUSES + [clause], B0)
+    with pytest.raises(InapplicableClassError):
+        eliminate_expr(expr, n, B0, split, "ladder")
+    with pytest.raises(InapplicableClassError):
+        eliminate_blocks(BoolFunction.from_expr(expr, n, B0), split, "ladder")
 
 
 def test_eliminate_expr_validation():
