@@ -9,11 +9,9 @@ values; every operation is pure, so they are safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
-
-DEFAULT_ATOM_CAP = 64
 
 
 class AlgebraMismatchError(ValueError):
@@ -25,22 +23,16 @@ class Algebra:
     """The finite Boolean algebra with ``2**atom_count`` elements.
 
     ``atom_count`` = 0 gives the degenerate one-element algebra (0 = 1);
-    ``atom_count`` = 1 is the two-element switching algebra.  Counts above
-    ``atom_cap`` are rejected; raise the cap explicitly to work with wide
-    elements (they fall back to arbitrary-precision masks internally).
+    ``atom_count`` = 1 is the two-element switching algebra.  Any count is
+    accepted; function tables hold one 64-bit mask per entry up to 64 atoms
+    and arbitrary-precision masks beyond.
     """
 
     atom_count: int
-    atom_cap: int = field(default=DEFAULT_ATOM_CAP, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.atom_count < 0:
             raise ValueError("atom count must be nonnegative")
-        if self.atom_count > self.atom_cap:
-            raise ValueError(
-                f"atom count {self.atom_count} exceeds cap {self.atom_cap}; "
-                f"pass atom_cap={self.atom_count} to allow it"
-            )
 
     @property
     def size(self) -> int:

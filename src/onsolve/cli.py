@@ -5,7 +5,8 @@ Subcommands: ``solve`` (decide f = 0 and print a model), ``check-on``
 expansion of f over an ON set), ``verify`` (cross-check the solver against
 the brute-force oracle).  Exit codes for ``solve``: 0 consistent,
 1 inconsistent, 2 error.  See the README for the file formats; both are
-read into one expression tree, ``ProblemFile.expr``.
+read into one expression tree, ``ProblemFile.expr``.  Only this module
+limits input sizes, where it reads them: n to ``--var-cap``, k to 64 atoms.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .algebra import Algebra, AlgebraElement
-from .function import DEFAULT_VAR_CAP, BoolFunction, _check_var_cap, parse, to_expression
+from .function import BoolFunction, parse, to_expression
 from .orthonormal import (
     OrthonormalSet,
     OrthonormalityError,
@@ -43,8 +44,29 @@ from .solver import (
 )
 
 
+DEFAULT_VAR_CAP = 24
+MAX_ATOMS = 64
+
+
 class ProblemFormatError(ValueError):
     pass
+
+
+def _check_var_cap(n: int, var_cap: int) -> None:
+    """Reject a variable count read from the input before any 2^n table."""
+    if n < 0:
+        raise ValueError("variable count must be nonnegative")
+    if n > var_cap:
+        raise ValueError(
+            f"{n} variables exceeds the table cap of {var_cap} "
+            f"(pass --var-cap {n} to allow tables of 2^{n} entries)")
+
+
+def _algebra(k: int) -> Algebra:
+    """The algebra of an atom count read from the input."""
+    if k > MAX_ATOMS:
+        raise ValueError(f"atom count {k} exceeds the limit of {MAX_ATOMS} atoms")
+    return Algebra(k)
 
 
 @dataclass
@@ -59,7 +81,7 @@ class ProblemFile:
     @cached_property
     def function(self) -> BoolFunction:
         """f; its 2^n table is built on first access."""
-        return BoolFunction.from_expr(self.expr, self.n, self.algebra, var_cap=self.n)
+        return BoolFunction.from_expr(self.expr, self.n, self.algebra)
 
     def evaluate(self, model: Assignment) -> AlgebraElement:
         """f at the model, read off the expression without a table."""
@@ -96,7 +118,11 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise ProblemFormatError(f"bad DIMACS header {line!r}")
+            if n is not None:
+                raise ProblemFormatError(f"line {lineno}: repeated DIMACS problem line")
             n = _integer(fields[2], lineno)
+            if _integer(fields[3], lineno) < 0:
+                raise ProblemFormatError(f"line {lineno}: negative clause count")
             continue
         try:
             for lit in map(int, line.split()):
@@ -127,8 +153,21 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
 # Problem files
 
 
-def _strip_comment(line: str) -> str:
-    return line.split("#", 1)[0].strip()
+def _directives(text: str, once: tuple[str, ...]):
+    """(line number, line, keyword, rest) for each line of a problem or
+    expression-form ON-set file that holds more than a ``#`` comment.  A
+    keyword in ``once`` may start one line only."""
+    seen: set[str] = set()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        keyword, _, rest = line.partition(" ")
+        if keyword in once:
+            if keyword in seen:
+                raise ProblemFormatError(f"line {lineno}: repeated directive {keyword!r}")
+            seen.add(keyword)
+        yield lineno, line, keyword, rest.strip()
 
 
 def _looks_like_dimacs(path: Path, text: str) -> bool:
@@ -160,12 +199,8 @@ def parse_problem(path: Path, algebra_override: int | None = None,
     blocks_line: str | None = None
     onset_line: str | None = None
     onset_lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        keyword, _, rest = line.partition(" ")
-        rest = rest.strip()
+    directives = ("algebra", "vars", "equation", "blocks", "onset")
+    for lineno, _, keyword, rest in _directives(text, directives):
         if keyword == "algebra":
             k = _integer(rest, lineno)
         elif keyword == "vars":
@@ -184,7 +219,7 @@ def parse_problem(path: Path, algebra_override: int | None = None,
         raise ProblemFormatError("problem file lacks a 'vars' line")
     if equation is None:
         raise ProblemFormatError("problem file lacks an 'equation' line")
-    algebra = Algebra(k)
+    algebra = _algebra(k)
     n = len(var_names)
     try:
         expr = parse_expr(equation, n, algebra, var_names)
@@ -226,7 +261,8 @@ def _var_names(rest: str, lineno: int) -> list[str]:
 def load_on_set(path: Path, algebra: Algebra | None,
                 var_cap: int = DEFAULT_VAR_CAP) -> tuple[OrthonormalSet, Algebra]:
     """ON-set file: either the block-partition format or expression form
-    (optional 'algebra'/'vars' directives, then one member per line)."""
+    (optional 'algebra'/'vars' directives, then one member per line); only
+    the expression form builds tables, so only it is held to ``var_cap``."""
     text = path.read_text()
     records = on_set_records(text)
     if records and records[0][1].split()[0].isdigit():
@@ -234,26 +270,22 @@ def load_on_set(path: Path, algebra: Algebra | None,
             algebra = Algebra(1)
         return parse_on_set(text, algebra), algebra
 
-    meaningful = [(lineno, _strip_comment(l))
-                  for lineno, l in enumerate(text.splitlines(), 1)]
-    meaningful = [(lineno, l) for lineno, l in meaningful if l]
     k = algebra.atom_count if algebra is not None else 1
     var_names: list[str] | None = None
     members: list[str] = []
-    for lineno, line in meaningful:
-        keyword, _, rest = line.partition(" ")
+    for lineno, line, keyword, rest in _directives(text, ("algebra", "vars")):
         if keyword == "algebra":
-            k = _integer(rest.strip(), lineno)
+            k = _integer(rest, lineno)
         elif keyword == "vars":
             var_names = _var_names(rest, lineno)
         else:
             members.append(line)
     if var_names is None:
         raise ProblemFormatError("expression-form ON-set file lacks a 'vars' line")
-    algebra = Algebra(k)
+    algebra = _algebra(k)
     n = len(var_names)
-    functions = [parse(m, n, algebra, var_names=var_names, var_cap=var_cap)
-                 for m in members]
+    _check_var_cap(n, var_cap)
+    functions = [parse(m, n, algebra, var_names=var_names) for m in members]
     return verify_on(functions), algebra
 
 
@@ -315,7 +347,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check_on(args) -> int:
-    algebra = Algebra(args.algebra) if args.algebra else None
+    algebra = _algebra(args.algebra) if args.algebra else None
     try:
         onset, _ = load_on_set(Path(args.onset), algebra, args.var_cap)
     except OrthonormalityError as exc:
@@ -367,10 +399,11 @@ def cmd_verify(args) -> int:
         jobs.append((name, parse_problem(Path(name), args.algebra, args.var_cap)))
     rng = random.Random(args.seed)
     algebra = Algebra(1)
-    for i in range(args.random):
-        n = args.random_vars
-        clauses = _random_cnf(n, int(4.2 * n), rng)
+    n = args.random_vars
+    if args.random:
         _check_var_cap(n, args.var_cap)
+    for i in range(args.random):
+        clauses = _random_cnf(n, int(4.2 * n), rng)
         jobs.append((f"random-{i + 1}",
                      ProblemFile(algebra, n, default_var_names(n),
                                  None, None, cnf_expr(clauses, algebra))))

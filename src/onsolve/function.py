@@ -10,6 +10,7 @@ bitwise operation, and evaluation at an arbitrary point of B**n decomposes
 atom by atom.
 
 Functions are immutable after construction and all operations are pure.
+A table is built for any n: the command line, not this module, limits n.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import numpy as np
 
 from .algebra import Algebra, AlgebraElement, AlgebraMismatchError
 from .parsing import Cube, Expr, Not, Prod, Sum, parse_expr
-
-DEFAULT_VAR_CAP = 24
 
 
 def _dtype_for(algebra: Algebra) -> np.dtype:
@@ -49,16 +48,6 @@ def _mask_to_value(algebra: Algebra, mask: int):
     return mask
 
 
-def _check_var_cap(n: int, var_cap: int) -> None:
-    if n < 0:
-        raise ValueError("variable count must be nonnegative")
-    if n > var_cap:
-        raise ValueError(
-            f"{n} variables exceeds the table cap of {var_cap} "
-            f"(pass var_cap={n} to allow tables of 2^{n} entries)"
-        )
-
-
 class BoolFunction:
     """An n-variable function B**n -> B as a dense coefficient table."""
 
@@ -77,19 +66,15 @@ class BoolFunction:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def constant(cls, algebra: Algebra, n: int, value: AlgebraElement,
-                 var_cap: int = DEFAULT_VAR_CAP) -> "BoolFunction":
+    def constant(cls, algebra: Algebra, n: int, value: AlgebraElement) -> "BoolFunction":
         if value.algebra != algebra:
             raise AlgebraMismatchError("constant from a different algebra")
-        _check_var_cap(n, var_cap)
         table = np.full(1 << n, _mask_to_value(algebra, value.mask),
                         dtype=_dtype_for(algebra))
         return cls(algebra, n, table)
 
     @classmethod
-    def variable(cls, algebra: Algebra, n: int, i: int,
-                 var_cap: int = DEFAULT_VAR_CAP) -> "BoolFunction":
-        _check_var_cap(n, var_cap)
+    def variable(cls, algebra: Algebra, n: int, i: int) -> "BoolFunction":
         if not 0 <= i < n:
             raise IndexError(f"variable index {i} out of range for n={n}")
         table = np.zeros(1 << n, dtype=_dtype_for(algebra))
@@ -97,10 +82,8 @@ class BoolFunction:
                                            {}, algebra))
 
     @classmethod
-    def from_coeffs(cls, algebra: Algebra, n: int, coeffs,
-                    var_cap: int = DEFAULT_VAR_CAP) -> "BoolFunction":
+    def from_coeffs(cls, algebra: Algebra, n: int, coeffs) -> "BoolFunction":
         """Function with the given 2**n coefficients (entry j = value at A_j)."""
-        _check_var_cap(n, var_cap)
         coeffs = list(coeffs)
         if len(coeffs) != 1 << n:
             raise ValueError(f"expected 2^{n} coefficients, got {len(coeffs)}")
@@ -112,9 +95,7 @@ class BoolFunction:
         return cls(algebra, n, table)
 
     @classmethod
-    def from_expr(cls, expr: Expr, n: int, algebra: Algebra,
-                  var_cap: int = DEFAULT_VAR_CAP) -> "BoolFunction":
-        _check_var_cap(n, var_cap)
+    def from_expr(cls, expr: Expr, n: int, algebra: Algebra) -> "BoolFunction":
         _check_expr(expr, n, algebra)
         table = np.zeros(1 << n, dtype=_dtype_for(algebra))
         return cls(algebra, n, _write_expr(table, range(n), expr, {}, algebra))
@@ -304,11 +285,9 @@ def _check_expr(expr: Expr, n: int, algebra: Algebra) -> None:
 
 
 def parse(text: str, n: int, algebra: Algebra,
-          var_names: list[str] | None = None,
-          var_cap: int = DEFAULT_VAR_CAP) -> BoolFunction:
+          var_names: list[str] | None = None) -> BoolFunction:
     """Parse an expression into its minterm canonical form."""
-    return BoolFunction.from_expr(parse_expr(text, n, algebra, var_names),
-                                  n, algebra, var_cap=var_cap)
+    return BoolFunction.from_expr(parse_expr(text, n, algebra, var_names), n, algebra)
 
 
 def cofactor(f: BoolFunction, i: int, v: int) -> BoolFunction:
@@ -356,13 +335,11 @@ class Term:
         return self.text()
 
 
-def term_to_function(t: Term, n: int, algebra: Algebra,
-                     var_cap: int = DEFAULT_VAR_CAP) -> BoolFunction:
+def term_to_function(t: Term, n: int, algebra: Algebra) -> BoolFunction:
     """Indicator function of the term's subcube.
 
     Terms narrower than n are padded with absent variables on the right.
     """
-    _check_var_cap(n, var_cap)
     if t.width > n:
         raise ValueError(f"term over {t.width} variables does not fit n={n}")
     table = np.zeros(1 << n, dtype=_dtype_for(algebra))
@@ -370,10 +347,8 @@ def term_to_function(t: Term, n: int, algebra: Algebra,
     return BoolFunction(algebra, n, _write_expr(table, range(n), cube, {}, algebra))
 
 
-def minterm_function(algebra: Algebra, n: int, j: int,
-                     var_cap: int = DEFAULT_VAR_CAP) -> BoolFunction:
+def minterm_function(algebra: Algebra, n: int, j: int) -> BoolFunction:
     """The minterm with index j (indicator of the single point A_j)."""
-    _check_var_cap(n, var_cap)
     if not 0 <= j < 1 << n:
         raise IndexError(f"minterm index {j} out of range for n={n}")
     table = np.zeros(1 << n, dtype=_dtype_for(algebra))

@@ -17,10 +17,8 @@ import numpy as np
 
 from .algebra import Algebra, AlgebraElement, leq
 from .function import (
-    DEFAULT_VAR_CAP,
     BoolFunction,
     Term,
-    _check_var_cap,
     _dtype_for,
     _one_value,
     term_to_function,
@@ -169,9 +167,11 @@ def verify_on(functions) -> OrthonormalSet:
 
 
 def minterm_set(n: int, algebra: Algebra,
-                var_cap: int = DEFAULT_VAR_CAP) -> OrthonormalSet:
-    """The order-2**n ON set of all minterms, blocks in index order."""
-    _check_var_cap(n, var_cap)
+                var_cap: int | None = None) -> OrthonormalSet:
+    """The order-2**n ON set of all minterms, blocks in index order; n above
+    ``var_cap``, when one is given, is rejected (only bench/worker.py gives one)."""
+    if var_cap is not None and n > var_cap:
+        raise ValueError(f"{n} variables exceeds the cap of {var_cap}")
     return OrthonormalSet(algebra, n, np.arange(1 << n))
 
 
@@ -190,7 +190,7 @@ def ladder_terms(m: int) -> list[Term]:
 
 def term_set(n: int, terms, algebra: Algebra) -> OrthonormalSet:
     """Canonical partition of an ON list of terms over n variables."""
-    return verify_on([term_to_function(t, n, algebra, var_cap=n) for t in terms])
+    return verify_on([term_to_function(t, n, algebra) for t in terms])
 
 
 def ladder_set(m: int, algebra: Algebra) -> OrthonormalSet:

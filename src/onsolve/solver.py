@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import (Algebra, AlgebraElement, AlgebraMismatchError,
                       complement, meet, meet_all)
-from .function import (DEFAULT_VAR_CAP, BoolFunction, _check_expr, _dtype_for,
+from .function import (BoolFunction, _check_expr, _dtype_for,
                        _mask_to_value, _one_value, _write_expr, point_bits)
 from .orthonormal import (
     OrthonormalSet,
@@ -136,7 +136,7 @@ def solve_minterm_equation(alpha) -> Assignment | None:
     if beta is None:
         return None
     n = total.bit_length() - 1
-    return solve_on_system(minterm_set(n, alpha[0].algebra, var_cap=n), beta)
+    return solve_on_system(minterm_set(n, alpha[0].algebra), beta)
 
 
 def is_on_system(items, algebra: Algebra) -> bool:
@@ -222,10 +222,10 @@ def necessary_condition(f: BoolFunction, onset: OrthonormalSet) -> BoolFunction:
     membership = is_in_class(f, onset)
     if membership:
         product = meet_all(membership.constants, f.algebra)
-        return BoolFunction.constant(f.algebra, f.n, product, var_cap=f.n)
+        return BoolFunction.constant(f.algebra, f.n, product)
     if onset.order == 1:
         return f
-    return BoolFunction.constant(f.algebra, f.n, f.algebra.zero, var_cap=f.n)
+    return BoolFunction.constant(f.algebra, f.n, f.algebra.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +277,7 @@ def _stage_expand(f: BoolFunction, block: tuple[int, ...],
 
 def _local_onset(policy: str, width: int, algebra: Algebra) -> OrthonormalSet:
     if policy == "minterm":
-        return minterm_set(width, algebra, var_cap=width)
+        return minterm_set(width, algebra)
     if policy == "ladder":
         return ladder_set(width, algebra)
     raise ValueError('phi policy must be "minterm" or "ladder"')
@@ -300,7 +300,7 @@ def block_eliminant(f: BoolFunction, block,
         if not 0 <= i < f.n:
             raise IndexError(f"variable index {i} out of range for n={f.n}")
     if phi is None:
-        phi = minterm_set(len(block), f.algebra, var_cap=len(block))
+        phi = minterm_set(len(block), f.algebra)
     elif phi.n != len(block) or phi.algebra != f.algebra:
         raise ValueError("ON set does not match the block")
     _, eliminant = _stage_expand(f, block, phi)
@@ -456,12 +456,10 @@ def _variables(expr: Expr) -> set[int]:
     return set().union(*map(_variables, parts))
 
 
-def cnf_function(n: int, clauses, algebra: Algebra,
-                 var_cap: int = DEFAULT_VAR_CAP) -> BoolFunction:
+def cnf_function(n: int, clauses, algebra: Algebra) -> BoolFunction:
     """f with f = 0 exactly on satisfying assignments: 1 on the cube where
     some clause is false.  A tautological clause contributes nothing."""
-    return BoolFunction.from_expr(cnf_expr(clauses, algebra), n, algebra,
-                                  var_cap=var_cap)
+    return BoolFunction.from_expr(cnf_expr(clauses, algebra), n, algebra)
 
 
 def eliminate_expr(expr: Expr, n: int, algebra: Algebra, split,

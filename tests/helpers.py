@@ -20,7 +20,7 @@ B0 = Algebra(1)
 B2 = Algebra(2)
 B3 = Algebra(3)
 # Atom counts 0, 1, 3 and 65 cover the bool, uint64 and object tables.
-EXPR_ALGEBRAS = (Algebra(0), B0, B3, Algebra(65, atom_cap=65))
+EXPR_ALGEBRAS = (Algebra(0), B0, B3, Algebra(65))
 
 
 def rand_element(algebra: Algebra, rng: random.Random) -> AlgebraElement:

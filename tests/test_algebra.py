@@ -84,9 +84,8 @@ def test_mixed_algebra_raises():
 
 
 def test_atom_cap():
-    with pytest.raises(ValueError):
-        Algebra(65)
-    wide = Algebra(80, atom_cap=128)
+    wide = Algebra(80)
+    assert wide.size == 1 << 80
     a = wide.atom(79)
     assert meet(a, complement(a)) == wide.zero
     assert join(a, complement(a)) == wide.one
@@ -105,7 +104,7 @@ def test_constants_are_cached_without_changing_equality():
     assert read == (B3.zero, B3.one, B3.atom(1), B3.element(0b100))
     assert all(x is y for x, y in zip(read, (fresh.zero, fresh.one,
                                              fresh.atom(1), fresh.atom(2))))
-    assert fresh == Algebra(3, atom_cap=8) and hash(fresh) == hash(Algebra(3))
+    assert fresh == Algebra(3) and hash(fresh) == hash(Algebra(3))
     assert fresh != B2 and repr(fresh) == "Algebra(atom_count=3)"
     with pytest.raises(IndexError):
         fresh.atom(-1)

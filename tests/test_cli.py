@@ -241,7 +241,7 @@ elimination trace: n=3, algebra=2^1, policy=minterm
     files = [INSTANCES / name for name in sorted(GOLDEN_TRACES)] + [shape, general]
 
     def dense(expr, n, algebra, split, phi_policy):
-        f = BoolFunction.from_expr(expr, n, algebra, var_cap=n)
+        f = BoolFunction.from_expr(expr, n, algebra)
         return eliminate_blocks(f, split, phi_policy)
 
     expected = {}
@@ -284,11 +284,70 @@ def test_dimacs_var_cap_checked_at_parse(capsys, tmp_path):
     problem = tmp_path / "wide.cnf"
     problem.write_text("p cnf 30 0\n")
     message = ("30 variables exceeds the table cap of 24 "
-               "(pass var_cap=30 to allow tables of 2^30 entries)")
+               "(pass --var-cap 30 to allow tables of 2^30 entries)")
     with pytest.raises(ValueError) as info:
         parse_problem(problem)
     assert str(info.value) == message
     assert run(capsys, "solve", str(problem)) == (2, "", f"error: {message}\n")
+    problem.write_text("p cnf 25 1\n1 0\n")
+    assert run(capsys, "solve", str(problem))[0] == 2
+    assert run(capsys, "--var-cap", "25", "solve", str(problem))[:2] == (
+        0, "CONSISTENT\nmodel: " + " ".join(f"x{i}=1" for i in range(1, 26)) + "\n")
+
+
+N_OVER = ("30 variables exceeds the table cap of 24 "
+          "(pass --var-cap 30 to allow tables of 2^30 entries)")
+K_OVER = "atom count 65 exceeds the limit of 64 atoms"
+# Every place where n or k enters: the arguments, with FILE standing for a
+# file of the given text, and the message.
+SIZE_LIMITS = [
+    (("solve", "FILE"), "p cnf 30 1\n1 0\n", N_OVER),
+    (("solve", "FILE"), "vars 30\nequation x1\n", N_OVER),
+    (("check-on", "FILE"), "vars 30\nx1\nx1'\n", N_OVER),
+    (("expand", str(INSTANCES / "xor3.txt"), "--onset", "FILE"),
+     "vars 30\nx1\nx1'\n", N_OVER),
+    (("verify", "--random", "1", "--random-vars", "30"), "", N_OVER),
+    (("--algebra", "65", "solve", "FILE"), "vars 1\nequation x1\n", K_OVER),
+    (("--algebra", "65", "check-on", "FILE"), "2 1\nM1={0}\nM2={1}\n", K_OVER),
+    (("solve", "FILE"), "algebra 65\nvars 1\nequation x1\n", K_OVER),
+    (("check-on", "FILE"), "algebra 65\nvars 1\nx1\nx1'\n", K_OVER),
+]
+
+
+def test_size_limits_checked_where_read(capsys, monkeypatch, tmp_path):
+    # Each exits 2 with one error line before any table is built.
+    def eliminate_expr(*args):
+        raise AssertionError("stage 1 written")
+
+    _forbid_tables(monkeypatch)
+    monkeypatch.setattr(cli, "eliminate_expr", eliminate_expr)
+    path = tmp_path / "input.txt"
+    for argv, text, message in SIZE_LIMITS:
+        path.write_text(text)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
+
+
+# A directive given twice, in a problem file (solve) and in an
+# expression-form ON-set file (check-on).
+REPEATED_DIRECTIVES = [
+    ("solve", "vars 2\nequation x1\nequation 1\n", 3, "equation"),
+    ("solve", "algebra 2\nvars 1\nalgebra 2\nequation x1\n", 3, "algebra"),
+    ("solve", "vars 1\n# x2\nvars 2\nequation x1\n", 3, "vars"),
+    ("solve", "vars 2\nequation x1\nblocks x1 | x2\nblocks x1 x2\n", 4, "blocks"),
+    ("solve", "vars 2\nequation x1\nonset {0,1} {2,3}\nonset {0,1,2,3}\n",
+     4, "onset"),
+    ("check-on", "algebra 2\nvars 1\nalgebra 2\nx1\nx1'\n", 3, "algebra"),
+    ("check-on", "vars 1\nx1\nvars 1\nx1'\n", 3, "vars"),
+]
+
+
+def test_repeated_directive_rejected(capsys, tmp_path):
+    path = tmp_path / "repeated.txt"
+    for command, text, lineno, keyword in REPEATED_DIRECTIVES:
+        path.write_text(text)
+        assert run(capsys, command, str(path)) == (
+            2, "", f"error: line {lineno}: repeated directive {keyword!r}\n"), text
 
 
 def test_solve_unsat_cnf_exit_code(capsys):
@@ -598,6 +657,9 @@ def test_parse_dimacs_reads_clauses_across_lines_and_checks_literals_last():
         ("1 2 0\n-4 5 0\np cnf 3 2\n", "literal -4 outside 1..3"),
         ("p cnf 2 2\n3 0\n1 y 0\n", "line 3: expected an integer, got 'y'"),
         ("1 9 0\n", "missing DIMACS problem line"),
+        ("p cnf 3 abc\n1 0\n", "line 1: expected an integer, got 'abc'"),
+        ("c x\np cnf 3 -4\n1 0\n", "line 2: negative clause count"),
+        ("p cnf 2 1\n1 0\np cnf 1 1\n", "line 3: repeated DIMACS problem line"),
     ]:
         with pytest.raises(ProblemFormatError) as err:
             parse_dimacs(text)

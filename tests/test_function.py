@@ -229,12 +229,9 @@ def test_from_coeffs_roundtrip_and_arity():
         f.evaluate((B2.one,))
 
 
-def test_var_cap_enforced():
-    with pytest.raises(ValueError):
-        BoolFunction.constant(B0, 25, B0.zero)
-    assert BoolFunction.constant(B0, 25, B0.zero, var_cap=25).is_zero
-    with pytest.raises(ValueError):
-        parse("x1", 9, B0, var_cap=8)
+def test_tables_take_any_variable_count():
+    # the size limit is the command line's (--var-cap), not the library's
+    assert BoolFunction.constant(B0, 25, B0.zero).is_zero
 
 
 def test_function_operators_match_pointwise():
@@ -264,7 +261,7 @@ def test_to_expression_roundtrip():
 def test_wide_algebra_tables():
     import onsolve
 
-    wide = onsolve.Algebra(80, atom_cap=128)
+    wide = onsolve.Algebra(80)
     a = wide.atom(75)
     f = BoolFunction.from_coeffs(wide, 1, [a, ~a])
     assert f.evaluate((wide.zero,)) == a

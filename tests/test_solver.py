@@ -480,7 +480,7 @@ def test_eliminate_blocks_degenerate_algebra():
 
 def test_eliminate_blocks_wide_algebra():
     # above 64 atoms the tables hold arbitrary-precision masks (object dtype)
-    wide = Algebra(70, atom_cap=70)
+    wide = Algebra(70)
     rng = random.Random(31)
     solved = 0
     for _ in range(10):
@@ -643,7 +643,7 @@ def _messy_trees(n, algebra, rng):
 # over the bool, uint64 and object tables.
 EXPR_CASES = ((B0, 80, 12, _plain_cnf, 20),
               *(case
-                for a in (B0, B2, B3, Algebra(65, atom_cap=65))
+                for a in (B0, B2, B3, Algebra(65))
                 for case in ((a, 40, 10, _messy_cubes, 20),
                              (a, 30, 8, _messy_trees, 10))))
 
