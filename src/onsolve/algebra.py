@@ -3,8 +3,10 @@
 Every finite Boolean algebra is isomorphic to the powerset algebra of its
 atoms, so a carrier of size 2**k is modelled here by k named atoms
 ``a0 .. a{k-1}`` and each element by the set of atoms below it, stored as an
-int bitmask.  All operations are bitwise and exact.  Elements are immutable
-values; every operation is pure, so they are safe to share between threads.
+int bitmask.  An algebra has at most ``MAX_ATOMS`` = 64 atoms, so every
+element fits one 64-bit word.  All operations are bitwise and exact.
+Elements are immutable values; every operation is pure, so they are safe to
+share between threads.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
+
+MAX_ATOMS = 64
+"""Largest atom count: a function table holds one uint64 atom mask per entry."""
 
 
 class AlgebraMismatchError(ValueError):
@@ -23,9 +28,8 @@ class Algebra:
     """The finite Boolean algebra with ``2**atom_count`` elements.
 
     ``atom_count`` = 0 gives the degenerate one-element algebra (0 = 1);
-    ``atom_count`` = 1 is the two-element switching algebra.  Any count is
-    accepted; function tables hold one 64-bit mask per entry up to 64 atoms
-    and arbitrary-precision masks beyond.
+    ``atom_count`` = 1 is the two-element switching algebra.  Counts above
+    ``MAX_ATOMS`` are rejected.
     """
 
     atom_count: int
@@ -33,6 +37,9 @@ class Algebra:
     def __post_init__(self) -> None:
         if self.atom_count < 0:
             raise ValueError("atom count must be nonnegative")
+        if self.atom_count > MAX_ATOMS:
+            raise ValueError(f"atom count {self.atom_count} exceeds the limit "
+                             f"of {MAX_ATOMS} atoms")
 
     @property
     def size(self) -> int:

@@ -5,8 +5,8 @@ Subcommands: ``solve`` (decide f = 0 and print a model), ``check-on``
 expansion of f over an ON set), ``verify`` (cross-check the solver against
 the brute-force oracle).  Exit codes for ``solve``: 0 consistent,
 1 inconsistent, 2 error.  See the README for the file formats; both are
-read into one expression tree, ``ProblemFile.expr``.  Only this module
-limits input sizes, where it reads them: n to ``--var-cap``, k to 64 atoms.
+read into one expression tree, ``ProblemFile.expr``.  This module limits
+n to ``--var-cap`` where it reads it; ``Algebra`` itself rejects k above 64.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .solver import (
 
 
 DEFAULT_VAR_CAP = 24
-MAX_ATOMS = 64
 
 
 class ProblemFormatError(ValueError):
@@ -62,11 +61,12 @@ def _check_var_cap(n: int, var_cap: int) -> None:
             f"(pass --var-cap {n} to allow tables of 2^{n} entries)")
 
 
-def _algebra(k: int) -> Algebra:
-    """The algebra of an atom count read from the input."""
-    if k > MAX_ATOMS:
-        raise ValueError(f"atom count {k} exceeds the limit of {MAX_ATOMS} atoms")
-    return Algebra(k)
+def _file_algebra(override: int | None, k: int | None, default: int) -> Algebra:
+    """The algebra of a file read: ``--algebra`` when given, else the file's
+    'algebra' line ``k``, else ``default``."""
+    if override is not None:
+        return Algebra(override)
+    return Algebra(default if k is None else k)
 
 
 @dataclass
@@ -193,7 +193,7 @@ def parse_problem(path: Path, algebra_override: int | None = None,
         return ProblemFile(algebra, n, default_var_names(n), None, None,
                            cnf_expr(clauses, algebra))
 
-    k = 1
+    k = None
     var_names: list[str] | None = None
     equation: str | None = None
     blocks_line: str | None = None
@@ -213,13 +213,11 @@ def parse_problem(path: Path, algebra_override: int | None = None,
             onset_line, onset_lineno = rest, lineno
         else:
             raise ProblemFormatError(f"unknown directive {keyword!r}")
-    if algebra_override is not None:
-        k = algebra_override
     if var_names is None:
         raise ProblemFormatError("problem file lacks a 'vars' line")
     if equation is None:
         raise ProblemFormatError("problem file lacks an 'equation' line")
-    algebra = _algebra(k)
+    algebra = _file_algebra(algebra_override, k, 1)
     n = len(var_names)
     try:
         expr = parse_expr(equation, n, algebra, var_names)
@@ -258,19 +256,20 @@ def _var_names(rest: str, lineno: int) -> list[str]:
     return fields
 
 
-def load_on_set(path: Path, algebra: Algebra | None,
+def load_on_set(path: Path, algebra_override: int | None, default: int = 1,
                 var_cap: int = DEFAULT_VAR_CAP) -> tuple[OrthonormalSet, Algebra]:
     """ON-set file: either the block-partition format or expression form
     (optional 'algebra'/'vars' directives, then one member per line); only
-    the expression form builds tables, so only it is held to ``var_cap``."""
+    the expression form builds tables, so only it is held to ``var_cap``.
+    The atom count is ``algebra_override``, else the file's, else
+    ``default``."""
     text = path.read_text()
     records = on_set_records(text)
     if records and records[0][1].split()[0].isdigit():
-        if algebra is None:
-            algebra = Algebra(1)
+        algebra = _file_algebra(algebra_override, None, default)
         return parse_on_set(text, algebra), algebra
 
-    k = algebra.atom_count if algebra is not None else 1
+    k = None
     var_names: list[str] | None = None
     members: list[str] = []
     for lineno, line, keyword, rest in _directives(text, ("algebra", "vars")):
@@ -282,7 +281,7 @@ def load_on_set(path: Path, algebra: Algebra | None,
             members.append(line)
     if var_names is None:
         raise ProblemFormatError("expression-form ON-set file lacks a 'vars' line")
-    algebra = _algebra(k)
+    algebra = _file_algebra(algebra_override, k, default)
     n = len(var_names)
     _check_var_cap(n, var_cap)
     functions = [parse(m, n, algebra, var_names=var_names) for m in members]
@@ -347,9 +346,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check_on(args) -> int:
-    algebra = _algebra(args.algebra) if args.algebra else None
     try:
-        onset, _ = load_on_set(Path(args.onset), algebra, args.var_cap)
+        onset, _ = load_on_set(Path(args.onset), args.algebra, 1, args.var_cap)
     except OrthonormalityError as exc:
         print(f"not orthonormal: {type(exc).__name__}: {exc}")
         return 1
@@ -362,7 +360,8 @@ def cmd_expand(args) -> int:
     problem = parse_problem(Path(args.problem), args.algebra, args.var_cap)
     onset = problem.onset
     if args.onset:
-        onset, _ = load_on_set(Path(args.onset), problem.algebra, args.var_cap)
+        onset, _ = load_on_set(Path(args.onset), args.algebra,
+                               problem.algebra.atom_count, args.var_cap)
     if onset is None:
         print("no ON set given (problem 'onset' line or --onset file)",
               file=sys.stderr)

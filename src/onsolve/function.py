@@ -3,9 +3,9 @@
 A function of n variables is stored as its dense table of 2**n coefficients,
 entry j holding the value at the 0/1 point whose bits spell j (variable x1 is
 the most significant bit).  Since the carrier is a powerset algebra, the table
-is kept atom-sliced in a numpy array: booleans for the two-element algebra,
-one 64-bit atom mask per entry up to 64 atoms, arbitrary-precision masks
-beyond.  Every Boolean operation on functions is then a single vectorized
+is kept atom-sliced in a numpy array: booleans up to one atom, otherwise one
+uint64 atom mask per entry, which holds any algebra since ``Algebra`` stops
+at 64 atoms.  Every Boolean operation on functions is then a single vectorized
 bitwise operation, and evaluation at an arbitrary point of B**n decomposes
 atom by atom.
 
@@ -23,29 +23,16 @@ from .algebra import Algebra, AlgebraElement, AlgebraMismatchError
 from .parsing import Cube, Expr, Not, Prod, Sum, parse_expr
 
 
+_BOOL, _UINT64 = np.dtype(bool), np.dtype(np.uint64)
+
+
 def _dtype_for(algebra: Algebra) -> np.dtype:
-    if algebra.atom_count <= 1:
-        return np.dtype(bool)
-    if algebra.atom_count <= 64:
-        return np.dtype(np.uint64)
-    return np.dtype(object)
+    return _BOOL if algebra.atom_count <= 1 else _UINT64
 
 
-def _one_value(algebra: Algebra):
-    """Table entry representing the constant 1 of the algebra."""
-    if algebra.atom_count <= 1:
-        return algebra.atom_count == 1
-    if algebra.atom_count <= 64:
-        return np.uint64(algebra.full_mask)
-    return algebra.full_mask
-
-
-def _mask_to_value(algebra: Algebra, mask: int):
-    if algebra.atom_count <= 1:
-        return bool(mask)
-    if algebra.atom_count <= 64:
-        return np.uint64(mask)
-    return mask
+def _entry(algebra: Algebra, mask: int):
+    """The table entry of an atom mask."""
+    return bool(mask) if algebra.atom_count <= 1 else np.uint64(mask)
 
 
 class BoolFunction:
@@ -69,7 +56,7 @@ class BoolFunction:
     def constant(cls, algebra: Algebra, n: int, value: AlgebraElement) -> "BoolFunction":
         if value.algebra != algebra:
             raise AlgebraMismatchError("constant from a different algebra")
-        table = np.full(1 << n, _mask_to_value(algebra, value.mask),
+        table = np.full(1 << n, _entry(algebra, value.mask),
                         dtype=_dtype_for(algebra))
         return cls(algebra, n, table)
 
@@ -91,7 +78,7 @@ class BoolFunction:
         for j, c in enumerate(coeffs):
             if c.algebra != algebra:
                 raise AlgebraMismatchError("coefficient from a different algebra")
-            table[j] = _mask_to_value(algebra, c.mask)
+            table[j] = _entry(algebra, c.mask)
         return cls(algebra, n, table)
 
     @classmethod
@@ -118,7 +105,7 @@ class BoolFunction:
 
     def is_indicator(self) -> bool:
         """True when every coefficient is 0 or 1."""
-        one = _one_value(self.algebra)
+        one = _entry(self.algebra, self.algebra.full_mask)
         return bool(np.all((self.table == 0) | (self.table == one)))
 
     @property
@@ -127,7 +114,8 @@ class BoolFunction:
 
     @property
     def is_one(self) -> bool:
-        return bool(np.all(self.table == _one_value(self.algebra)))
+        one = _entry(self.algebra, self.algebra.full_mask)
+        return bool(np.all(self.table == one))
 
     # -- evaluation -----------------------------------------------------------
 
@@ -210,8 +198,8 @@ class BoolFunction:
         return BoolFunction(self.algebra, self.n, self.table | other.table)
 
     def __invert__(self) -> "BoolFunction":
-        return BoolFunction(self.algebra, self.n,
-                            self.table ^ _one_value(self.algebra))
+        one = _entry(self.algebra, self.algebra.full_mask)
+        return BoolFunction(self.algebra, self.n, self.table ^ one)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BoolFunction):
@@ -241,7 +229,7 @@ def _write_expr(table: np.ndarray, variables, expr: Expr, point: dict[int, int],
     variables = tuple(variables)
     view = table.reshape((2,) * len(variables))
     axis = {v: a for a, v in enumerate(variables)}
-    full, one = algebra.full_mask, _one_value(algebra)
+    full, one = algebra.full_mask, _entry(algebra, algebra.full_mask)
     for part in expr.parts if isinstance(expr, Sum) else (expr,):
         if isinstance(part, Cube):
             mask = full if part.value.is_one else part.value.mask
@@ -254,7 +242,7 @@ def _write_expr(table: np.ndarray, variables, expr: Expr, point: dict[int, int],
             if mask == full:
                 view[tuple(sel)] = one
             elif mask:
-                view[tuple(sel)] |= _mask_to_value(algebra, mask)
+                view[tuple(sel)] |= _entry(algebra, mask)
         elif isinstance(part, Sum):
             _write_expr(table, variables, part, point, algebra)
         elif isinstance(part, Prod):
@@ -352,7 +340,7 @@ def minterm_function(algebra: Algebra, n: int, j: int) -> BoolFunction:
     if not 0 <= j < 1 << n:
         raise IndexError(f"minterm index {j} out of range for n={n}")
     table = np.zeros(1 << n, dtype=_dtype_for(algebra))
-    table[j] = _one_value(algebra)
+    table[j] = _entry(algebra, algebra.full_mask)
     return BoolFunction(algebra, n, table)
 
 

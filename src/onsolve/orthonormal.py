@@ -20,7 +20,7 @@ from .function import (
     BoolFunction,
     Term,
     _dtype_for,
-    _one_value,
+    _entry,
     term_to_function,
 )
 
@@ -95,8 +95,9 @@ class OrthonormalSet:
         return int(self.labels.max()) + 1
 
     def member(self, i: int) -> BoolFunction:
-        table = np.zeros(1 << self.n, dtype=_dtype_for(self.algebra))
-        table[self.labels == range(self.order)[i]] = _one_value(self.algebra)
+        algebra = self.algebra
+        table = np.zeros(1 << self.n, dtype=_dtype_for(algebra))
+        table[self.labels == range(self.order)[i]] = _entry(algebra, algebra.full_mask)
         return BoolFunction(self.algebra, self.n, table)
 
     def members(self) -> tuple[BoolFunction, ...]:

@@ -24,8 +24,8 @@ import numpy as np
 
 from .algebra import (Algebra, AlgebraElement, AlgebraMismatchError,
                       complement, meet, meet_all)
-from .function import (BoolFunction, _check_expr, _dtype_for,
-                       _mask_to_value, _one_value, _write_expr, point_bits)
+from .function import (BoolFunction, _check_expr, _dtype_for, _entry,
+                       _write_expr, point_bits)
 from .orthonormal import (
     OrthonormalSet,
     coefficient_interval,
@@ -107,9 +107,9 @@ def solve_linear_on(a, sigma=None) -> tuple[AlgebraElement, ...] | None:
     sigma = list(range(n)) if sigma is None else list(sigma)
     if sorted(sigma) != list(range(n)):
         raise ValueError(f"sigma must be a permutation of 0..{n - 1}")
-    masks = np.array([x.mask for x in a], dtype=object)
-    beta = _linear_on(masks, algebra.full_mask, sigma)
-    return None if beta is None else tuple(algebra.element(m) for m in beta)
+    masks = np.array([x.mask for x in a], dtype=_dtype_for(algebra))
+    beta = _linear_on(masks, _entry(algebra, algebra.full_mask), sigma)
+    return None if beta is None else tuple(algebra.element(int(m)) for m in beta)
 
 
 def solve_dual_linear_coon(b) -> tuple[AlgebraElement, ...] | None:
@@ -337,7 +337,7 @@ class EliminationStage:
             idx = 0
             for i in self.remaining:
                 idx = idx << 1 | (values[i] >> t & 1)
-            constants |= self.table[:, idx] & _mask_to_value(algebra, 1 << t)
+            constants |= self.table[:, idx] & _entry(algebra, 1 << t)
         return constants
 
 
@@ -503,7 +503,8 @@ def eliminate_expr(expr: Expr, n: int, algebra: Algebra, split,
     # One slab is written in place: np.copyto of an array onto itself is free.
     slab = np.empty_like(common) if prefix else common
     row_space = space if words else algebra
-    eliminant = np.full(1 << len(remaining) >> 6 * words, _one_value(row_space),
+    eliminant = np.full(1 << len(remaining) >> 6 * words,
+                        _entry(row_space, row_space.full_mask),
                         dtype=_dtype_for(row_space))
     table = None if phi_policy == "minterm" else np.empty((phi.order, len(eliminant)),
                                                           dtype=eliminant.dtype)
@@ -551,7 +552,7 @@ def extract_solution(trace: EliminationTrace) -> Assignment:
     for stage in reversed(trace.stages):
         constants = stage.constants_at(values)
         order = np.arange(stage.phi.order)[::step]
-        beta = _linear_on(constants, _one_value(algebra), order)
+        beta = _linear_on(constants, _entry(algebra, algebra.full_mask), order)
         if beta is None:
             raise InconsistentTraceError(
                 "coefficient product nonzero at the partial assignment")
@@ -567,17 +568,10 @@ def render_trace(trace: EliminationTrace,
     def name(i: int) -> str:
         return var_names[i] if var_names else f"x{i + 1}"
 
-    def table_digest(table: np.ndarray) -> str:
-        if table.dtype == object:
-            raw = repr(list(table)).encode()
-        else:
-            raw = np.ascontiguousarray(table).tobytes()
-        return hashlib.sha1(raw).hexdigest()[:8]
-
     lines = [f"elimination trace: n={trace.n}, algebra=2^"
              f"{trace.algebra.atom_count}, policy={trace.policy}"]
     for s, stage in enumerate(trace.stages, start=1):
-        digest = table_digest(stage.eliminant.table)
+        digest = hashlib.sha1(stage.eliminant.table.tobytes()).hexdigest()[:8]
         lines.append(
             f"  stage {s}: eliminate {{{', '.join(name(i) for i in stage.block)}}}"
             f" via ON order {stage.phi.order};"

@@ -19,8 +19,9 @@ from onsolve.function import point_bits
 B0 = Algebra(1)
 B2 = Algebra(2)
 B3 = Algebra(3)
-# Atom counts 0, 1, 3 and 65 cover the bool, uint64 and object tables.
-EXPR_ALGEBRAS = (Algebra(0), B0, B3, Algebra(65))
+# Atom counts 0, 1, 3 and 64 cover the bool and uint64 tables, up to the
+# top atom a63 in the top bit of a uint64.
+EXPR_ALGEBRAS = (Algebra(0), B0, B3, Algebra(64))
 
 
 def rand_element(algebra: Algebra, rng: random.Random) -> AlgebraElement:

@@ -84,11 +84,14 @@ def test_mixed_algebra_raises():
 
 
 def test_atom_cap():
-    wide = Algebra(80)
-    assert wide.size == 1 << 80
-    a = wide.atom(79)
+    wide = Algebra(64)
+    assert wide.size == 1 << 64
+    a = wide.atom(63)
     assert meet(a, complement(a)) == wide.zero
     assert join(a, complement(a)) == wide.one
+    with pytest.raises(ValueError,
+                       match="^atom count 65 exceeds the limit of 64 atoms$"):
+        Algebra(65)
 
 
 def test_degenerate_algebra():

@@ -551,6 +551,27 @@ def test_check_on_reports_bad_header_line(capsys, tmp_path):
         assert run(capsys, "check-on", str(onset)) == (2, "", f"error: {message}\n"), text
 
 
+def test_algebra_flag_overrides_every_file(capsys, tmp_path):
+    # `--algebra K` beats the 'algebra' line of the ON-set file as well as
+    # the problem's, and K = 0 counts as given.
+    onset = tmp_path / "onset.txt"
+    onset.write_text("vars 1\nx1\nx1'\n")
+    assert run(capsys, "--algebra", "0", "check-on", str(onset))[:2] == (
+        1, "not orthonormal: ZeroMemberError: member 0 is the zero function "
+           "(empty block)\n")
+    onset.write_text("algebra 3\nvars 1\nx1\n(a0+a1)*x1' + a2*x1'\n")
+    assert run(capsys, "--algebra", "1", "check-on", str(onset)) == (
+        2, "", "error: unknown atom 'a1' (algebra has 1 atoms) (at position 4)\n")
+    problem = tmp_path / "problem.txt"
+    problem.write_text("algebra 3\nvars 1\nequation a0*x1 + a1*x1'\n")
+    onset.write_text("algebra 3\nvars 1\nx1\nx1'\n")
+    assert run(capsys, "--algebra", "2", "expand", str(problem),
+               "--onset", str(onset))[:2] == (
+        0, "in constant class: yes\n"
+           "phi_1 {1}: interval [a0, a0] constant=a0\n"
+           "phi_2 {0}: interval [a1, a1] constant=a1\n")
+
+
 def test_expand_lists_intervals(capsys):
     expected = ("in constant class: yes\n"
                 "phi_1 {0,2}: interval [1, 1] constant=1\n"

@@ -261,8 +261,8 @@ def test_to_expression_roundtrip():
 def test_wide_algebra_tables():
     import onsolve
 
-    wide = onsolve.Algebra(80)
-    a = wide.atom(75)
+    wide = onsolve.Algebra(64)
+    a = wide.atom(63)
     f = BoolFunction.from_coeffs(wide, 1, [a, ~a])
     assert f.evaluate((wide.zero,)) == a
     assert (f * ~f).is_zero

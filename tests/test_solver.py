@@ -5,6 +5,7 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from onsolve import (
@@ -110,6 +111,11 @@ def test_solve_linear_on_base_cases():
     z = solve_linear_on((B0.zero, B0.one))
     assert z == (B0.one, B0.zero)
     assert solve_linear_on([B8.one] * 5) is None
+    # The bool and uint64 tables both hand back Python int masks.
+    top = Algebra(64).atom(63)
+    wide = solve_linear_on((top, ~top))
+    assert wide == (~top, top)
+    assert all(type(x.mask) is int for x in z + wide)
 
 
 def test_solve_linear_on_all_permutations():
@@ -479,14 +485,14 @@ def test_eliminate_blocks_degenerate_algebra():
 
 
 def test_eliminate_blocks_wide_algebra():
-    # above 64 atoms the tables hold arbitrary-precision masks (object dtype)
-    wide = Algebra(70)
+    # at 64 atoms the tables hold one uint64 mask per entry, top bit in use
+    wide = Algebra(64)
     rng = random.Random(31)
     solved = 0
     for _ in range(10):
         f = rand_function(wide, 3, rng)
         trace = eliminate_blocks(f, consecutive_split(3, 2))
-        assert trace.stages[0].table.dtype == object
+        assert trace.stages[0].table.dtype == np.uint64
         assert trace.consistent == meet_all(f.coeffs, wide).is_zero
         assert "coefficients: 4 (" in render_trace(trace)
         if trace.consistent:
@@ -640,10 +646,10 @@ def _messy_trees(n, algebra, rng):
 
 # (algebra, cases, largest n, term maker, least consistent cases): DIMACS
 # clause lists as `onsolve solve` reads them, then cube sums and other trees
-# over the bool, uint64 and object tables.
+# over the bool and uint64 tables.
 EXPR_CASES = ((B0, 80, 12, _plain_cnf, 20),
               *(case
-                for a in (B0, B2, B3, Algebra(65))
+                for a in (B0, B2, B3, Algebra(64))
                 for case in ((a, 40, 10, _messy_cubes, 20),
                              (a, 30, 8, _messy_trees, 10))))
 
