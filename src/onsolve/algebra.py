@@ -79,12 +79,6 @@ class Algebra:
         for mask in range(self.size):
             yield AlgebraElement(self, mask)
 
-    def parse(self, text: str) -> "AlgebraElement":
-        """Parse an element literal such as ``a0+a2'*(a1+1)``."""
-        from .parsing import parse_element
-
-        return parse_element(text, self)
-
     @property
     def is_two_element(self) -> bool:
         return self.atom_count == 1

@@ -204,7 +204,7 @@ def parse_problem(path: Path, algebra_override: int | None = None,
         if keyword == "algebra":
             k = _integer(rest, lineno)
         elif keyword == "vars":
-            var_names = _var_names(rest, lineno)
+            var_names = _var_names(rest, lineno, var_cap)
         elif keyword == "equation":
             equation = rest
         elif keyword == "blocks":
@@ -223,7 +223,6 @@ def parse_problem(path: Path, algebra_override: int | None = None,
         expr = parse_expr(equation, n, algebra, var_names)
     except ExpressionSyntaxError as exc:
         raise ProblemFormatError(f"bad equation: {exc}") from exc
-    _check_var_cap(n, var_cap)
 
     split = None
     if blocks_line is not None:
@@ -248,16 +247,20 @@ def parse_problem(path: Path, algebra_override: int | None = None,
     return ProblemFile(algebra, n, var_names, split, onset, expr)
 
 
-def _var_names(rest: str, lineno: int) -> list[str]:
-    """A 'vars' line: one count (names x1..xn) or the names themselves."""
+def _var_names(rest: str, lineno: int, var_cap: int) -> list[str]:
+    """A 'vars' line: one count (names x1..xn) or the names themselves.
+    The count is held to ``var_cap`` before any name is built."""
     fields = rest.split()
     if len(fields) == 1 and fields[0].isdigit():
-        return default_var_names(_integer(fields[0], lineno))
+        n = _integer(fields[0], lineno)
+        _check_var_cap(n, var_cap)
+        return default_var_names(n)
+    _check_var_cap(len(fields), var_cap)
     return fields
 
 
 def load_on_set(path: Path, algebra_override: int | None, default: int = 1,
-                var_cap: int = DEFAULT_VAR_CAP) -> tuple[OrthonormalSet, Algebra]:
+                var_cap: int = DEFAULT_VAR_CAP) -> OrthonormalSet:
     """ON-set file: either the block-partition format or expression form
     (optional 'algebra'/'vars' directives, then one member per line); only
     the expression form builds tables, so only it is held to ``var_cap``.
@@ -266,8 +269,7 @@ def load_on_set(path: Path, algebra_override: int | None, default: int = 1,
     text = path.read_text()
     records = on_set_records(text)
     if records and records[0][1].split()[0].isdigit():
-        algebra = _file_algebra(algebra_override, None, default)
-        return parse_on_set(text, algebra), algebra
+        return parse_on_set(text, _file_algebra(algebra_override, None, default))
 
     k = None
     var_names: list[str] | None = None
@@ -276,16 +278,15 @@ def load_on_set(path: Path, algebra_override: int | None, default: int = 1,
         if keyword == "algebra":
             k = _integer(rest, lineno)
         elif keyword == "vars":
-            var_names = _var_names(rest, lineno)
+            var_names = _var_names(rest, lineno, var_cap)
         else:
             members.append(line)
     if var_names is None:
         raise ProblemFormatError("expression-form ON-set file lacks a 'vars' line")
     algebra = _file_algebra(algebra_override, k, default)
     n = len(var_names)
-    _check_var_cap(n, var_cap)
     functions = [parse(m, n, algebra, var_names=var_names) for m in members]
-    return verify_on(functions), algebra
+    return verify_on(functions)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +348,7 @@ def cmd_solve(args) -> int:
 
 def cmd_check_on(args) -> int:
     try:
-        onset, _ = load_on_set(Path(args.onset), args.algebra, 1, args.var_cap)
+        onset = load_on_set(Path(args.onset), args.algebra, 1, args.var_cap)
     except OrthonormalityError as exc:
         print(f"not orthonormal: {type(exc).__name__}: {exc}")
         return 1
@@ -360,8 +361,8 @@ def cmd_expand(args) -> int:
     problem = parse_problem(Path(args.problem), args.algebra, args.var_cap)
     onset = problem.onset
     if args.onset:
-        onset, _ = load_on_set(Path(args.onset), args.algebra,
-                               problem.algebra.atom_count, args.var_cap)
+        onset = load_on_set(Path(args.onset), args.algebra,
+                            problem.algebra.atom_count, args.var_cap)
     if onset is None:
         print("no ON set given (problem 'onset' line or --onset file)",
               file=sys.stderr)
@@ -490,7 +491,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -278,10 +278,6 @@ def parse(text: str, n: int, algebra: Algebra,
     return BoolFunction.from_expr(parse_expr(text, n, algebra, var_names), n, algebra)
 
 
-def cofactor(f: BoolFunction, i: int, v: int) -> BoolFunction:
-    return f.cofactor(i, v)
-
-
 def shannon_sop(f: BoolFunction, i: int) -> tuple[BoolFunction, BoolFunction]:
     """Cofactor pair (c1, c0) of the sum form f = xi*c1 + xi'*c0."""
     return f.cofactor(i, 1), f.cofactor(i, 0)

@@ -81,13 +81,9 @@ def brute_class_membership(f: BoolFunction, onset: OrthonormalSet,
     if size ** m > tuple_budget:
         raise BudgetExceededError(
             f"{size}^{m} candidate tuples exceed the budget of {tuple_budget}")
-    coeff_masks = [int(x) for x in f.table]
-    block_of = [0] * (1 << f.n)
-    for i, block in enumerate(onset.blocks):
-        for j in block:
-            block_of[j] = i
-    indices = range(1 << f.n)
+    # (block of minterm j, coefficient mask at j) for every minterm j
+    pairs = list(zip(onset.labels.tolist(), f.table.tolist()))
     for candidate in itertools.product(range(size), repeat=m):
-        if all(candidate[block_of[j]] == coeff_masks[j] for j in indices):
+        if all(candidate[i] == mask for i, mask in pairs):
             return True
     return False

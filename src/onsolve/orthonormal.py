@@ -231,11 +231,6 @@ def coefficient_interval(f: BoolFunction, phi: BoolFunction) -> CoefficientInter
                                f.algebra.element(int(high)))
 
 
-def class_inequality(f: BoolFunction, phi: BoolFunction) -> bool:
-    """Whether the constant-coefficient interval for phi is nonempty."""
-    return coefficient_interval(f, phi).nonempty
-
-
 @dataclass(frozen=True)
 class ClassMembership:
     """Outcome of the constant-expansion test for f against an ON set."""

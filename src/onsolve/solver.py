@@ -171,8 +171,8 @@ def solve_on_system(onset: OrthonormalSet, beta,
         representatives = list(representatives)
         if len(representatives) != onset.order:
             raise ValueError("one representative per block required")
-        for i, (k, block) in enumerate(zip(representatives, onset.blocks)):
-            if k not in block:
+        for i, k in enumerate(representatives):
+            if not 0 <= k < len(onset.labels) or onset.labels[k] != i:
                 raise ValueError(f"representative {k} not in block {i + 1}")
     values = _on_system([x.mask for x in beta], representatives, onset.n)
     return {i: algebra.element(m) for i, m in enumerate(values)}

@@ -29,7 +29,7 @@ from onsolve import (
     solve_on_system,
 )
 from onsolve.algebra import Algebra, join_all, meet, meet_all
-from onsolve.cli import cnf_function
+from onsolve.solver import cnf_function
 
 from helpers import (
     B0,

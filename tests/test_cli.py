@@ -298,12 +298,20 @@ def test_dimacs_var_cap_checked_at_parse(capsys, tmp_path):
 N_OVER = ("30 variables exceeds the table cap of 24 "
           "(pass --var-cap 30 to allow tables of 2^30 entries)")
 K_OVER = "atom count 65 exceeds the limit of 64 atoms"
+HUGE = 999999999999999999991
+N_HUGE = (f"{HUGE} variables exceeds the table cap of 24 "
+          f"(pass --var-cap {HUGE} to allow tables of 2^{HUGE} entries)")
 # Every place where n or k enters: the arguments, with FILE standing for a
 # file of the given text, and the message.
 SIZE_LIMITS = [
     (("solve", "FILE"), "p cnf 30 1\n1 0\n", N_OVER),
     (("solve", "FILE"), "vars 30\nequation x1\n", N_OVER),
+    (("solve", "FILE"), "vars 30\nequation x1 ?\n", N_OVER),
+    (("solve", "FILE"),
+     "vars " + " ".join(f"y{i}" for i in range(30)) + "\nequation y0\n", N_OVER),
+    (("solve", "FILE"), f"vars {HUGE}\nequation x1\n", N_HUGE),
     (("check-on", "FILE"), "vars 30\nx1\nx1'\n", N_OVER),
+    (("check-on", "FILE"), f"vars {HUGE}\nx1\nx1'\n", N_HUGE),
     (("expand", str(INSTANCES / "xor3.txt"), "--onset", "FILE"),
      "vars 30\nx1\nx1'\n", N_OVER),
     (("verify", "--random", "1", "--random-vars", "30"), "", N_OVER),
@@ -315,12 +323,18 @@ SIZE_LIMITS = [
 
 
 def test_size_limits_checked_where_read(capsys, monkeypatch, tmp_path):
-    # Each exits 2 with one error line before any table is built.
+    # Each exits 2 with one error line before any table is built, and an
+    # n above the cap before any of the names x1..xn is built.
     def eliminate_expr(*args):
         raise AssertionError("stage 1 written")
 
+    def default_var_names(n, names=cli.default_var_names):
+        assert n <= cli.DEFAULT_VAR_CAP, f"{n} names built"
+        return names(n)
+
     _forbid_tables(monkeypatch)
     monkeypatch.setattr(cli, "eliminate_expr", eliminate_expr)
+    monkeypatch.setattr(cli, "default_var_names", default_var_names)
     path = tmp_path / "input.txt"
     for argv, text, message in SIZE_LIMITS:
         path.write_text(text)
@@ -565,6 +579,8 @@ def test_algebra_flag_overrides_every_file(capsys, tmp_path):
     problem = tmp_path / "problem.txt"
     problem.write_text("algebra 3\nvars 1\nequation a0*x1 + a1*x1'\n")
     onset.write_text("algebra 3\nvars 1\nx1\nx1'\n")
+    assert load_on_set(onset, None).algebra.atom_count == 3
+    assert load_on_set(onset, 2).algebra.atom_count == 2
     assert run(capsys, "--algebra", "2", "expand", str(problem),
                "--onset", str(onset))[:2] == (
         0, "in constant class: yes\n"
@@ -621,6 +637,15 @@ def test_main_reports_out_of_memory(capsys, monkeypatch):
     code, out, err = run(capsys, "solve", "any.txt")
     assert (code, out) == (2, "")
     assert err == "error: out of memory: Unable to allocate 8.00 TiB\n"
+
+    # A MemoryError without text gets no colon after "out of memory".
+    def eliminate_expr(*args):
+        raise MemoryError()
+
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "eliminate_expr", eliminate_expr)
+    assert run(capsys, "solve", str(INSTANCES / "xor3.txt")) == (
+        2, "", "error: out of memory\n")
 
 
 def test_verify_random_mode_is_seeded(capsys):

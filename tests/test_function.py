@@ -10,7 +10,6 @@ from onsolve import (
     AlgebraMismatchError,
     BoolFunction,
     Term,
-    cofactor,
     minterm_function,
     parse,
     shannon_pos,
@@ -266,4 +265,4 @@ def test_wide_algebra_tables():
     f = BoolFunction.from_coeffs(wide, 1, [a, ~a])
     assert f.evaluate((wide.zero,)) == a
     assert (f * ~f).is_zero
-    assert cofactor(f, 0, 1).coeff(0) == ~a
+    assert f.cofactor(0, 1).coeff(0) == ~a

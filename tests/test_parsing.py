@@ -95,9 +95,9 @@ def test_empty_input():
         parse("", 1, B0)
 
 
-def test_algebra_parse_shortcut():
+def test_parse_element_three_atoms():
     wide = Algebra(3)
-    assert wide.parse("a0 + a2") == wide.element(0b101)
+    assert parse_element("a0 + a2", wide) == wide.element(0b101)
 
 
 # (text, n, algebra, var_names, message, position) for every kind of

@@ -286,6 +286,11 @@ def test_solve_on_system_rejects_non_on():
         solve_on_system(onset, (B2.one,))
     with pytest.raises(ValueError):
         solve_on_system(onset, (B2.one, B2.zero), representatives=(1, 1))
+    # -1 would index minterm 1, the last one, which is in block 2
+    with pytest.raises(ValueError, match="representative -1 not in block 2"):
+        solve_on_system(onset, (B2.one, B2.zero), representatives=(0, -1))
+    with pytest.raises(ValueError, match="representative 2 not in block 2"):
+        solve_on_system(onset, (B2.one, B2.zero), representatives=(0, 2))
 
 
 def test_solve_on_system_random_partitions():
@@ -681,6 +686,9 @@ def test_eliminate_expr_matches_dense_stages(monkeypatch, slab):
             expr = Sum(tuple(make(n, algebra, rng))) if n else Cube(algebra.zero)
             split = _random_split(n, rng)
             f = BoolFunction.from_expr(expr, n, algebra)
+            # The oracle's verdict, where B^n is small enough to enumerate.
+            oracle = (brute_consistency(f).consistent
+                      if algebra.size ** n <= 4096 else None)
             for policy in ("minterm", "ladder"):
                 dense = _trace_or_error(eliminate_blocks, f, split, policy)
                 fast = _trace_or_error(eliminate_expr, expr, n, algebra, split, policy)
@@ -693,6 +701,13 @@ def test_eliminate_expr_matches_dense_stages(monkeypatch, slab):
                     assert np.array_equal(got.eliminant.table, want.eliminant.table)
                     assert got.zero_coefficients == want.zero_coefficients
                 assert (fast.final, fast.policy) == (dense.final, dense.policy)
+                if oracle is not None:
+                    assert fast.consistent == oracle, policy
+                if fast.consistent:
+                    # Checked on the tree, which builds no table.
+                    model = extract_solution(fast)
+                    point = tuple(model[i] for i in range(n))
+                    assert expr.evaluate(point, algebra).is_zero, policy
                 if not n:
                     continue
                 # A table of one slab or less is kept as a dense stage.
