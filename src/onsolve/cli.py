@@ -15,7 +15,7 @@ import argparse
 import random
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 from .algebra import Algebra, AlgebraElement
@@ -248,14 +248,21 @@ def parse_problem(path: Path, algebra_override: int | None = None,
 
 
 def _var_names(rest: str, lineno: int, var_cap: int) -> list[str]:
-    """A 'vars' line: one count (names x1..xn) or the names themselves.
-    The count is held to ``var_cap`` before any name is built."""
+    """A 'vars' line: one count in ASCII digits (names x1..xn) or the names
+    themselves, each one letter followed by digits, as the expression
+    tokenizer reads a name.  The count is held to ``var_cap`` before any
+    name is built."""
     fields = rest.split()
-    if len(fields) == 1 and fields[0].isdigit():
-        n = _integer(fields[0], lineno)
+    if len(fields) == 1 and fields[0].isascii() and fields[0].isdigit():
+        n = int(fields[0])
         _check_var_cap(n, var_cap)
         return default_var_names(n)
     _check_var_cap(len(fields), var_cap)
+    for name in fields:
+        if not (name[0].isalpha() and (len(name) == 1 or name[1:].isdigit())):
+            raise ProblemFormatError(
+                f"line {lineno}: bad variable name {name!r} (a name is one "
+                f"letter followed by digits, a count is ASCII digits)")
     return fields
 
 
@@ -436,7 +443,11 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it, so
+    that a process calling ``main`` many times builds it once.  Callers
+    must not change it."""
     parser = argparse.ArgumentParser(
         prog="onsolve",
         description="Boolean equation consistency by orthonormal expansion")

@@ -30,6 +30,14 @@ are built once, where the pair joins the tree: as a part of a ``Sum``,
 ``(a0+a2)*x1*x3'`` costs one ``Cube``.  A DIMACS clause list is read into
 the same tree by ``cnf_expr``: a ``Sum`` of one ``Cube`` per clause.
 
+``_tokenize`` returns the token kinds, texts and start positions as three
+parallel lists, and the parser walks them with one index.  ``term`` reads a
+name, its primes and the ``*`` after it in one loop, and calls ``factor``
+only for a constant or a group.  Each parser keeps the pair that
+``resolve_name`` gave for each name text, so a name repeated in many terms
+is resolved once; a parser reads one text, so nothing resolved under one
+list of variable names is seen under another.
+
 At most ``MAX_NESTING`` (100) parentheses may be open at once, and at most
 as many ``Not`` nodes may lie on one path of the tree; past either limit the
 text is a syntax error at the ``(`` or the ``'`` that crosses it.
@@ -123,27 +131,36 @@ writers) recurse once per level, so a deeper text is a syntax error rather
 than a ``RecursionError``."""
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, position) tokens, ending with an END token."""
-    tokens = []
-    i = 0
-    while i < len(text):
+def _tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
+    """The kinds, texts and start positions of the tokens, as three parallel
+    lists that end with an END token."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    i, end = 0, len(text)
+    while i < end:
         c = text[i]
-        if c.isspace():
+        if c in _PUNCTUATION:
+            kinds.append(c)
+            texts.append(c)
+            starts.append(i)
             i += 1
-        elif c in _PUNCTUATION:
-            tokens.append((c, c, i))
+        elif c.isspace():
             i += 1
         elif c.isalpha():
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < end and text[j].isdigit():
                 j += 1
-            tokens.append(("NAME", text[i:j], i))
+            kinds.append("NAME")
+            texts.append(text[i:j])
+            starts.append(i)
             i = j
         else:
             raise ExpressionSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(("END", "", len(text)))
-    return tokens
+    kinds.append("END")
+    texts.append("")
+    starts.append(end)
+    return kinds, texts, starts
 
 
 class _Parser:
@@ -151,11 +168,11 @@ class _Parser:
     and ``expr`` return a node, or a cube as a plain ``(mask, lits)`` pair:
     an atom mask and a tuple of (variable, bit) pairs over distinct
     variables.  ``cube`` turns a pair into its ``Cube`` where it joins the
-    tree."""
+    tree.  ``pos`` indexes the token lists."""
 
     def __init__(self, text: str, n: int, algebra: Algebra,
                  var_names: dict[str, int] | None):
-        self.tokens = _tokenize(text)
+        self.kinds, self.texts, self.starts = _tokenize(text)
         self.pos = 0
         self.depth = 0  # open parentheses around the current token
         self.nots = {}  # id of a Sum/Prod/Not -> most Not nodes on a path in it
@@ -163,14 +180,7 @@ class _Parser:
         self.algebra = algebra
         self.full = algebra.full_mask
         self.var_names = var_names  # name -> 0-based index, or None
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        self.resolved: dict[str, tuple[int, tuple]] = {}  # name -> its pair
 
     def cube(self, part: Expr | tuple[int, tuple]) -> Expr:
         if type(part) is tuple:
@@ -188,19 +198,23 @@ class _Parser:
 
     def parse(self) -> Expr:
         e = self.expr()
-        kind, text, pos = self.peek()
-        if kind != "END":
-            raise ExpressionSyntaxError(f"unexpected {text!r}", pos)
+        if self.kinds[self.pos] != "END":
+            raise ExpressionSyntaxError(f"unexpected {self.texts[self.pos]!r}",
+                                        self.starts[self.pos])
         return self.cube(e)
 
     def expr(self) -> Expr | tuple[int, tuple]:
-        parts = [self.term()]
-        while self.peek()[0] == "+":
+        part = self.term()
+        if self.kinds[self.pos] != "+":
+            return part
+        parts = [part]
+        constant = type(part) is tuple and not part[1]
+        while self.kinds[self.pos] == "+":
             self.pos += 1
-            parts.append(self.term())
-        if len(parts) == 1:
-            return parts[0]
-        if all(type(p) is tuple and not p[1] for p in parts):
+            part = self.term()
+            parts.append(part)
+            constant = constant and type(part) is tuple and not part[1]
+        if constant:
             mask = 0
             for m, _ in parts:
                 mask |= m
@@ -208,17 +222,45 @@ class _Parser:
         return self.node(Sum(tuple(map(self.cube, parts))))
 
     def term(self) -> Expr | tuple[int, tuple]:
-        parts = [self.factor()]
+        """Factors up to the next token that cannot start one.  A name and
+        its primes are read here, without ``factor``: a prime on a name's
+        pair complements its atom mask or flips its one literal."""
+        kinds, texts, resolved = self.kinds, self.texts, self.resolved
+        parts = []
+        cubes = True  # every part is a pair
+        pos = self.pos
         while True:
-            kind = self.peek()[0]
+            if kinds[pos] == "NAME":
+                name = texts[pos]
+                part = resolved.get(name)
+                if part is None:
+                    part = resolved[name] = self.resolve_name(name, self.starts[pos])
+                pos += 1
+                if kinds[pos] == "'":
+                    mask, lits = part
+                    while kinds[pos] == "'":
+                        pos += 1
+                        if lits:
+                            lits = ((lits[0][0], 1 - lits[0][1]),)
+                        else:
+                            mask ^= self.full
+                    part = mask, lits
+                parts.append(part)
+            else:
+                self.pos = pos
+                part = self.factor()
+                parts.append(part)
+                cubes = cubes and type(part) is tuple
+                pos = self.pos
+            kind = kinds[pos]
             if kind == "*":
-                self.pos += 1
+                pos += 1
             elif kind not in _FACTOR_START:
                 break
-            parts.append(self.factor())
+        self.pos = pos
         if len(parts) == 1:
             return parts[0]
-        if not all(type(p) is tuple for p in parts):
+        if not cubes:
             return self.node(Prod(tuple(map(self.cube, parts))))
         mask, lits = self.full, {}
         for m, ls in parts:
@@ -230,8 +272,9 @@ class _Parser:
 
     def factor(self) -> Expr | tuple[int, tuple]:
         e = self.primary()
-        while self.peek()[0] == "'":
-            pos = self.next()[2]
+        while self.kinds[self.pos] == "'":
+            pos = self.starts[self.pos]
+            self.pos += 1
             if type(e) is tuple and not e[1]:
                 e = e[0] ^ self.full, ()
             elif type(e) is tuple and len(e[1]) == 1 and e[0] == self.full:
@@ -247,9 +290,10 @@ class _Parser:
         return e
 
     def primary(self) -> Expr | tuple[int, tuple]:
-        kind, text, pos = self.next()
-        if kind == "NAME":
-            return self.resolve_name(text, pos)
+        """A constant or a group; ``term`` reads names itself."""
+        i = self.pos
+        kind, start = self.kinds[i], self.starts[i]
+        self.pos = i + 1
         if kind == "0":
             return 0, ()
         if kind == "1":
@@ -257,15 +301,16 @@ class _Parser:
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise ExpressionSyntaxError(
-                    f"parentheses nested deeper than {MAX_NESTING}", pos)
+                    f"parentheses nested deeper than {MAX_NESTING}", start)
             self.depth += 1
             e = self.expr()
             self.depth -= 1
-            kind, _, pos = self.next()
-            if kind != ")":
-                raise ExpressionSyntaxError("expected ')'", pos)
+            if self.kinds[self.pos] != ")":
+                raise ExpressionSyntaxError("expected ')'", self.starts[self.pos])
+            self.pos += 1
             return e
-        raise ExpressionSyntaxError(f"unexpected {text or 'end of input'!r}", pos)
+        raise ExpressionSyntaxError(
+            f"unexpected {self.texts[i] or 'end of input'!r}", start)
 
     def resolve_name(self, name: str, pos: int) -> tuple[int, tuple]:
         # A NAME token is a letter and digits, so an ASCII name longer than

@@ -364,6 +364,27 @@ def test_repeated_directive_rejected(capsys, tmp_path):
             2, "", f"error: line {lineno}: repeated directive {keyword!r}\n"), text
 
 
+# A 'vars' count is ASCII digits, and a declared name is one letter and
+# digits: a sign, a name that starts with a digit and an Arabic-Indic three
+# are each rejected, in a problem file and in an expression-form ON-set file.
+@pytest.mark.parametrize("command, text", [
+    pytest.param("solve", "vars {}\nequation 1\n", id="problem"),
+    pytest.param("check-on", "vars {}\n1\n", id="onset"),
+])
+@pytest.mark.parametrize("names, bad", [
+    pytest.param("-3", "-3", id="sign"),
+    pytest.param("3x 4", "3x", id="leading-digit"),
+    pytest.param("\u0663", "\u0663", id="arabic-indic-three"),
+])
+def test_vars_line_takes_an_ascii_count_or_letter_names(capsys, tmp_path, command,
+                                                        text, names, bad):
+    path = tmp_path / "vars.txt"
+    path.write_text(text.format(names))
+    assert run(capsys, command, str(path)) == (
+        2, "", f"error: line 1: bad variable name {bad!r} (a name is one letter "
+               f"followed by digits, a count is ASCII digits)\n")
+
+
 def test_solve_unsat_cnf_exit_code(capsys):
     code, out, _ = run(capsys, "solve", str(INSTANCES / "unsat1.cnf"))
     assert code == 1
@@ -646,6 +667,33 @@ def test_main_reports_out_of_memory(capsys, monkeypatch):
     monkeypatch.setattr(cli, "eliminate_expr", eliminate_expr)
     assert run(capsys, "solve", str(INSTANCES / "xor3.txt")) == (
         2, "", "error: out of memory\n")
+
+
+def test_cached_argument_parser_keeps_no_state(capsys, tmp_path):
+    # main reuses one parser per process.  Each call, made after calls with
+    # other options, answers as it does with a parser built for it alone.
+    model = tmp_path / "model.txt"
+    model.write_text("x=0 y=1 z=1\n")
+    walkthrough = str(INSTANCES / "walkthrough3.txt")
+    onset = tmp_path / "onset.txt"
+    onset.write_text("algebra 2\nvars 1\nequation a0'*x1\nonset {0} {1}\n")
+    onset = str(onset)
+    calls = [
+        ["solve", "--trace", walkthrough], ["solve", walkthrough],
+        ["--algebra", "3", "expand", onset], ["expand", onset],
+        ["verify", str(INSTANCES / "general_b3.txt"), str(INSTANCES / "chain5.txt"),
+         "--random", "2", "--block-size", "2"],
+        ["verify", str(INSTANCES / "rand8_sat.cnf")],
+        ["solve", walkthrough, "--check-model", str(model)], ["solve", walkthrough],
+    ]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli.build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in calls] == fresh
+    assert cli.build_parser.cache_info().misses == 1
+    assert fresh[2] != fresh[3]  # --algebra 3 changed the answer
 
 
 def test_verify_random_mode_is_seeded(capsys):

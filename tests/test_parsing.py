@@ -1,6 +1,8 @@
 """Expression grammar: tokens, precedence, aliases, error positions."""
 
 import functools
+import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -312,3 +314,85 @@ def test_parsed_text_matches_direct_evaluation(data):
     point = tuple(algebra.element(data.draw(st.integers(0, algebra.full_mask)))
                   for _ in range(n))
     assert f.evaluate(point) == _reference(node, point, algebra), text
+
+
+# (n, algebra, declared names or None, names, stray names) for the seeded
+# texts: the default scheme with its aliases, declared ASCII and Unicode
+# names, and stray names that resolve to nothing.
+SEEDED_SCOPES = [
+    (3, B0, None, ["x1", "x2", "x3", "x", "y", "z"], ["w", "x0", "x9", "q"]),
+    (3, B2, None, ["x1", "x3", "y"], ["α", "p²", "x²", "a1²"]),
+    (0, B3, None, [], ["x1", "q"]),
+    (3, B2, ["p", "q2", "α"], ["p", "q2", "α"], ["q", "x1"]),
+    (4, Algebra(64), ["p²", "ζ10", "x1", "y"], ["p²", "ζ10", "x1", "y"],
+     ["p³", "x2"]),
+]
+CORRUPTIONS = "01+*'() ?xa9αp²٣"
+
+
+def _seeded_text(rng, k, names, strays):
+    """A random text: cube sums, prime chains and nested groups over
+    ``names``, constants and atoms, now and then a stray name or an atom
+    outside the k atoms, and in about a third of the texts one character
+    replaced, inserted or deleted."""
+
+    def factor(depth):
+        r = rng.random()
+        if depth and r < 0.2:
+            text = "(" + expr(depth - 1) + ")"
+        elif r < 0.02:
+            text = rng.choice(strays)
+        elif r < 0.04:
+            text = f"a{k + rng.randrange(3)}"
+        elif r < 0.3 or not names and not k:
+            text = rng.choice("01")
+        elif r < 0.5 and k or not names:
+            text = f"a{rng.randrange(min(k, 8))}"
+        else:
+            text = rng.choice(names)
+        return text + "'" * rng.choice((0, 0, 0, 1, 2, 3))
+
+    def term(depth):
+        text = factor(depth)
+        for _ in range(rng.randrange(4)):
+            text += rng.choice(("", " ", "*", " * ")) + factor(depth)
+        return text
+
+    def expr(depth):
+        return rng.choice(("+", " + ")).join(
+            term(depth) for _ in range(1 + rng.randrange(3)))
+
+    text = expr(3)
+    if rng.random() < 0.35:
+        i = rng.randrange(len(text) + 1)
+        c = rng.choice(CORRUPTIONS)
+        text = rng.choice((text[:i] + c + text[i + 1:], text[:i] + c + text[i:],
+                           text[:i] + text[i + 1:]))
+    return text
+
+
+# Recorded with the tokenizer and parser that the one-pass reader replaced,
+# so it pins every tree, message and position that they gave.
+SEEDED_DIGEST = "864de9657630a8e3dcc4a7fc6ca2e815a059b3a1b5989eab3a665488035b67d1"
+
+
+def test_seeded_texts_parse_to_the_recorded_trees_and_errors():
+    rng = random.Random(2026)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        n, algebra, declared, names, strays = rng.choice(SEEDED_SCOPES)
+        text = _seeded_text(rng, algebra.atom_count, names, strays)
+        try:
+            outcome = repr(parse_expr(text, n, algebra, declared))
+        except ExpressionSyntaxError as exc:
+            outcome = repr((type(exc).__name__, str(exc), exc.position))
+        digest.update(f"{text}\0{outcome}\n".encode())
+    assert digest.hexdigest() == SEEDED_DIGEST
+
+
+def test_resolved_names_do_not_carry_over_between_calls():
+    assert parse_expr("p*q'", 2, B0, ["p", "q"]) == Cube(B0.one, ((0, 1), (1, 0)))
+    assert parse_expr("p*q'", 2, B0, ["q", "p"]) == Cube(B0.one, ((1, 1), (0, 0)))
+    assert parse_expr("a1 x2", 2, B2) == Cube(B2.element(0b10), ((1, 1),))
+    with pytest.raises(ExpressionSyntaxError, match="unknown atom 'a1'"):
+        parse_expr("a1 x2", 2, B0)
