@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -93,12 +94,12 @@ def default_var_names(n: int) -> list[str]:
 
 
 def _integer(token: str, lineno: int) -> int:
-    """A number field on line ``lineno`` of an input file."""
-    try:
-        return int(token)
-    except ValueError:
-        raise ProblemFormatError(
-            f"line {lineno}: expected an integer, got {token!r}") from None
+    """A number field on line ``lineno`` of an input file: ASCII digits
+    after an optional sign.  ``int`` alone also reads other Unicode digits
+    and ``_`` separators."""
+    if not re.fullmatch(r"[+-]?[0-9]+", token):
+        raise ProblemFormatError(f"line {lineno}: expected an integer, got {token!r}")
+    return int(token)
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +111,9 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
     clauses: list[list[int]] = []
     pending: list[int] = []
     widest = 0  # the largest |literal| read
+    # int() reads other Unicode digits and "_" too; an ASCII text without
+    # "_" holds neither, so only other texts check each line.
+    plain = text.isascii() and "_" not in text
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith(("c", "%")):
@@ -124,8 +128,11 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
             if _integer(fields[3], lineno) < 0:
                 raise ProblemFormatError(f"line {lineno}: negative clause count")
             continue
+        fields = line.split()
+        if not plain and (not line.isascii() or "_" in line):
+            fields = [_integer(tok, lineno) for tok in fields]
         try:
-            for lit in map(int, line.split()):
+            for lit in map(int, fields):
                 if not lit:
                     clauses.append(pending)
                     pending = []
@@ -134,7 +141,7 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
                 if lit > widest or -lit > widest:
                     widest = abs(lit)
         except ValueError:
-            for tok in line.split():
+            for tok in fields:
                 _integer(tok, lineno)  # raises on the first bad token
             raise
     if pending:

@@ -302,7 +302,7 @@ def expand_in_terms(f: BoolFunction, terms) -> list[BoolFunction]:
 # Text format: "m n" record then one "Mi={...}" record per block, separated
 # by newlines or semicolons.
 
-_BLOCK_RE = re.compile(r"^M(\d+)\s*=\s*\{([\d\s,]*)\}$")
+_BLOCK_RE = re.compile(r"^M([0-9]+)\s*=\s*\{([0-9\s,]*)\}$")
 
 
 def format_on_set(onset: OrthonormalSet) -> str:
@@ -327,19 +327,17 @@ def parse_on_set(text: str, algebra: Algebra) -> OrthonormalSet:
     if len(head) != 2:
         raise ValueError('ON-set header must be "m n"')
     for token in head:
-        try:
-            int(token)
-        except ValueError:
-            raise ValueError(
-                f"line {lineno}: expected an integer, got {token!r}") from None
+        # int() alone also reads other Unicode digits and "_" separators.
+        if not re.fullmatch(r"[+-]?[0-9]+", token):
+            raise ValueError(f"line {lineno}: expected an integer, got {token!r}")
     m, n = int(head[0]), int(head[1])
     if len(records) - 1 != m:
         raise ValueError(f"expected {m} block records, got {len(records) - 1}")
     blocks: list[list[int]] = [[]] * m
-    for _, record in records[1:]:
+    for lineno, record in records[1:]:
         match = _BLOCK_RE.match(record)
         if not match:
-            raise ValueError(f"malformed block record {record!r}")
+            raise ValueError(f"line {lineno}: malformed block record {record!r}")
         i = int(match.group(1))
         if not 1 <= i <= m:
             raise ValueError(f"block number M{i} outside 1..{m}")

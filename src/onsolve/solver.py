@@ -10,9 +10,9 @@ explicit solutions of the linear ON equation, of minterm systems, and of
 systems phi_i(X) = beta_i defined by an ON set.  A problem is solved from
 its expression tree by ``eliminate_expr``, which writes stage 1 straight
 from the tree in row slabs under either ON-set policy.  Over the
-two-element algebra a slab is written 64 entries per uint64 word, and only
-the eliminant and the kept table are unpacked to the ``bool`` tables of the
-later stages.
+two-element algebra a slab is written 64 entries per uint64 word, stage 1's
+AND runs on the words at every row width, and only the eliminant and the
+kept table are unpacked to the ``bool`` tables of the later stages.
 """
 
 from __future__ import annotations
@@ -436,7 +436,9 @@ _SLAB_ENTRIES = 1 << 20
 # 2^(m-6) words: entry j is bit j & 63 of word j >> 6.  That is a table over
 # the first m - 6 variables whose entries are 64-lane masks, written over
 # the algebra of 64 atoms with each of the last six variables in the point:
-# low position p is the set of lanes i with bit 5 - p of i set.
+# low position p is the set of lanes i with bit 5 - p of i set.  A table
+# over m < 6 variables is one word: its variables take the last m lane
+# patterns, so lane i holds entry i mod 2^m and the upper lanes repeat it.
 WORDS = Algebra(64)
 _LANES = tuple(sum(1 << i for i in range(64) if i >> (5 - p) & 1) for p in range(6))
 
@@ -446,6 +448,18 @@ def _unpack(words: np.ndarray) -> np.ndarray:
     word j >> 6."""
     octets = words.astype("<u8", copy=False).view(np.uint8)
     return np.unpackbits(octets, bitorder="little").view(bool)
+
+
+def _rows(slab: np.ndarray, free: int, rest: int) -> np.ndarray:
+    """The 2^free rows of 2^rest entries each in a slab, one per line: a
+    run of whole entries or words, or, for rows narrower than a word, the
+    row's lanes moved to the low lanes of a word of its own.  The lanes a
+    one-word slab repeats past its 2^(free+rest) entries are dropped."""
+    if len(slab) >= 1 << free:
+        return slab.reshape(1 << free, -1)
+    width = 1 << rest
+    groups = slab[:, None] >> np.arange(0, 64, width, dtype=np.uint64)
+    return (groups & np.uint64((1 << width) - 1)).reshape(-1, 1)[:1 << free]
 
 
 def _variables(expr: Expr) -> set[int]:
@@ -476,23 +490,28 @@ def eliminate_expr(expr: Expr, n: int, algebra: Algebra, split,
     coefficient table and checks the class.  The block minterms need no
     fold, and past one slab they keep no table: stage 1 is a ``CubeStage``.
 
-    Over the two-element algebra a slab over six or more variables is
-    written as 64-entry words.  When the rows are whole words, the AND, the
-    zero-row count and the class check run on the words; otherwise the slab
-    is unpacked first.  Only the eliminant and the kept table are unpacked.
+    Over the two-element algebra every slab is written as 64-entry words,
+    one word below six variables.  The AND runs on the words at every row
+    width: rows of whole words are ANDed column by column, and for narrower
+    rows all the words are ANDed into one, whose 64 / 2^rest lane groups
+    are then folded onto the first.  The zero-row count and the class check
+    read the rows as words (``_rows``), each narrow row in a word of its
+    own.  Only the eliminant and the kept table are unpacked.
     """
     split = _check_split(n, split)
     _check_expr(expr, n, algebra)
     block = split[0] if split else ()
     remaining = tuple(i for i in range(n) if i not in block)
+    rest = len(remaining)
     phi = _local_onset(phi_policy, len(block), algebra)
-    # Each slab holds 2^free rows of 2^len(remaining) entries.
-    free = min(len(block), max(0, (_SLAB_ENTRIES - 1).bit_length() - len(remaining)))
+    # Each slab holds 2^free rows of 2^rest entries.
+    free = min(len(block), max(0, (_SLAB_ENTRIES - 1).bit_length() - rest))
     prefix, variables = block[:len(block) - free], block[len(block) - free:] + remaining
     space, lanes = algebra, {}
-    if algebra.is_two_element and len(variables) >= 6:
-        space, variables, lanes = WORDS, variables[:-6], dict(zip(variables[-6:], _LANES))
-    words = algebra.is_two_element and len(remaining) >= 6
+    if algebra.is_two_element:
+        cut = max(0, len(variables) - 6)
+        lanes = dict(zip(variables[cut:], _LANES[6 - len(variables[cut:]):]))
+        space, variables = WORDS, variables[:cut]
     common, live = np.zeros(1 << len(variables), dtype=_dtype_for(space)), expr
     if prefix:
         fixed, live = [], []
@@ -502,30 +521,36 @@ def eliminate_expr(expr: Expr, n: int, algebra: Algebra, split,
         live = Sum(tuple(live))
     # One slab is written in place: np.copyto of an array onto itself is free.
     slab = np.empty_like(common) if prefix else common
-    row_space = space if words else algebra
-    eliminant = np.full(1 << len(remaining) >> 6 * words,
-                        _entry(row_space, row_space.full_mask),
-                        dtype=_dtype_for(row_space))
+    # The entries or words of one row, or one word of several narrow rows.
+    eliminant = np.full(max(1, len(common) >> free), _entry(space, space.full_mask),
+                        dtype=common.dtype)
     table = None if phi_policy == "minterm" else np.empty((phi.order, len(eliminant)),
-                                                          dtype=eliminant.dtype)
+                                                          dtype=common.dtype)
     zero = 0
     for p in range(1 << len(prefix)):
         np.copyto(slab, common)
         point = lanes | {v: bit * space.full_mask
                          for v, bit in zip(prefix, point_bits(p, len(prefix)))}
         _write_expr(slab, variables, live, point, space)
-        rows = (slab if words or space is algebra else _unpack(slab)).reshape(1 << free, -1)
-        eliminant &= np.bitwise_and.reduce(rows, axis=0)
+        eliminant &= np.bitwise_and.reduce(slab.reshape(-1, len(eliminant)), axis=0)
         if table is not None:
-            _fold_rows(table, rows, p << free, phi)
+            _fold_rows(table, _rows(slab, free, rest), p << free, phi)
         elif prefix:
-            zero += int(np.count_nonzero(~rows.any(axis=1)))
-    g = BoolFunction(algebra, len(remaining), _unpack(eliminant) if words else eliminant)
+            zero += int(np.count_nonzero(~_rows(slab, free, rest).any(axis=1)))
+    if algebra.is_two_element:
+        # Fold the word's lane groups of 2^rest onto the first: their AND.
+        for k in reversed(range(rest, 6)):
+            eliminant &= eliminant >> np.uint64(1 << k)
+        eliminant = _unpack(eliminant)[:1 << rest]
+    g = BoolFunction(algebra, rest, eliminant)
     if table is None and prefix:
         first = CubeStage(block, remaining, phi, expr, g, zero)
     else:
-        table = rows if table is None else table
-        table = _unpack(table).reshape(len(table), -1) if words else table
+        if table is None:
+            table = _unpack(slab)[:1 << n] if algebra.is_two_element else slab
+            table = table.reshape(1 << len(block), -1)
+        elif algebra.is_two_element:
+            table = _unpack(table).reshape(len(table), -1)[:, :1 << rest]
         table.flags.writeable = False
         first = EliminationStage(block, remaining, phi, table, g)
     stages, g = _eliminate_stages(g, remaining, split[1:], phi_policy)

@@ -385,6 +385,45 @@ def test_vars_line_takes_an_ascii_count_or_letter_names(capsys, tmp_path, comman
                f"followed by digits, a count is ASCII digits)\n")
 
 
+# Every number field is ASCII digits after an optional sign: int() alone
+# would read an Arabic-Indic digit or a "_" separator.
+@pytest.mark.parametrize("command, name, text, message", [
+    pytest.param("solve", "f.cnf", "p cnf ٣ 1\n١ 0\n",
+                 "line 1: expected an integer, got '٣'", id="dimacs-header"),
+    pytest.param("solve", "f.cnf", "p cnf 12 1\n1_1 0\n",
+                 "line 2: expected an integer, got '1_1'", id="dimacs-underscore"),
+    pytest.param("solve", "f.cnf", "p cnf 3 1\n2 -١ 0\n",
+                 "line 2: expected an integer, got '-١'", id="dimacs-literal"),
+    pytest.param("solve", "f.cnf", "p cnf 3 1_0\n1 0\n",
+                 "line 1: expected an integer, got '1_0'", id="dimacs-count"),
+    pytest.param("solve", "f.txt", "vars 1\nequation x1\nonset {٠} {1}\n",
+                 "line 3: expected an integer, got '٠'", id="onset"),
+    pytest.param("solve", "f.txt", "algebra ٢\nvars 1\nequation x1\n",
+                 "line 1: expected an integer, got '٢'", id="algebra"),
+    pytest.param("check-on", "s.txt", "# two\n٢ 1\nM1={0}\nM2={1}\n",
+                 "line 2: expected an integer, got '٢'", id="partition-header"),
+    pytest.param("check-on", "s.txt", "2 1_0\nM1={0}\nM2={1}\n",
+                 "line 1: expected an integer, got '1_0'", id="partition-underscore"),
+    pytest.param("check-on", "s.txt", "2 1\nM1={0}; M٢={1}\n",
+                 "line 2: malformed block record 'M٢={1}'", id="block-number"),
+    pytest.param("check-on", "s.txt", "2 1\nM1={0}\nM2={١}\n",
+                 "line 3: malformed block record 'M2={١}'", id="block-minterm"),
+])
+def test_number_fields_take_ascii_digits_only(capsys, tmp_path, command, name,
+                                              text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    assert run(capsys, command, str(path)) == (2, "", f"error: {message}\n")
+
+
+def test_number_fields_keep_a_leading_plus(capsys, tmp_path):
+    # As int() reads it: "+2" is 2.
+    plus, plain = tmp_path / "plus.cnf", tmp_path / "plain.cnf"
+    plus.write_text("p cnf +2 1\n+1 -2 0\n")
+    plain.write_text("p cnf 2 1\n1 -2 0\n")
+    assert run(capsys, "solve", str(plus)) == run(capsys, "solve", str(plain))
+
+
 def test_solve_unsat_cnf_exit_code(capsys):
     code, out, _ = run(capsys, "solve", str(INSTANCES / "unsat1.cnf"))
     assert code == 1

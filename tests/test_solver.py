@@ -827,6 +827,63 @@ def test_packed_stage_matches_evaluated_table(monkeypatch, slab):
     assert consistent >= 40
 
 
+def _ladder_class_expr(block, others, rng):
+    """Two-element cubes, each on one ladder member of ``block`` (its first
+    i variables 1 and the next 0, or all 1) and a cube over ``others``: the
+    function is in stage 1's ladder class."""
+    parts = []
+    for _ in range(rng.randint(1, 2 * len(block) + 2)):
+        i = rng.randint(0, len(block))
+        lits = [(v, 1) for v in block[:i]] + [(v, 0) for v in block[i:i + 1]]
+        lits += [(v, rng.getrandbits(1))
+                 for v in rng.sample(others, rng.randint(0, min(3, len(others))))]
+        parts.append(Cube(B0.one, tuple(lits)))
+    return Sum(tuple(parts))
+
+
+@pytest.mark.parametrize("slab", [16, 64, 256, solver._SLAB_ENTRIES])
+def test_narrow_rows_fold_on_words(monkeypatch, slab):
+    # Stage 1 rows of 2^rest entries for every rest in 0..7 at n <= 12: a
+    # table of fewer than 64 entries in one word, several rows per word,
+    # rows of whole words, and several slabs; at 64 entries n = 10, b = 8 is
+    # 16 one-word slabs with rows of 4 entries, and at 16 entries a slab is
+    # part of a word.
+    monkeypatch.setattr(solver, "_SLAB_ENTRIES", slab)
+    rng = random.Random(f"narrow:{slab}")
+    consistent = ladders = 0
+    cases = [(0, 0)] + [(n, rest) for rest in range(8) for n in range(rest + 1, 13)]
+    for n, rest in cases:
+        variables = rng.sample(range(n), n)
+        block, others = variables[:n - rest], variables[n - rest:]
+        size = 1 if rng.random() < 0.5 else rng.randint(1, max(rest, 1))
+        split = [block] * bool(n) + [others[s:s + size] for s in range(0, rest, size)]
+        exprs = (Sum(tuple(_plain_cnf(n, B0, rng))) if n else Cube(B0.one),
+                 _ladder_class_expr(block, others, rng) if n else Cube(B0.zero))
+        for expr in exprs:
+            f = BoolFunction.from_expr(expr, n, B0)
+            for policy in ("minterm", "ladder"):
+                want = _trace_or_error(eliminate_blocks, f, split, policy)
+                got = _trace_or_error(eliminate_expr, expr, n, B0, split, policy)
+                if want is None or got is None:
+                    assert want is got, (n, rest, policy)
+                    continue
+                ladders += policy == "ladder"
+                for mine, theirs in zip(got.stages, want.stages, strict=True):
+                    assert np.array_equal(mine.eliminant.table, theirs.eliminant.table)
+                    assert mine.zero_coefficients == theirs.zero_coefficients
+                if got.stages and not isinstance(got.stages[0], CubeStage):
+                    assert got.stages[0].table.shape == want.stages[0].table.shape
+                    assert np.array_equal(got.stages[0].table, want.stages[0].table)
+                assert got.final == want.final
+                if want.consistent:
+                    consistent += 1
+                    model = extract_solution(got)
+                    assert model == extract_solution(want)
+                    point = tuple(model[i] for i in range(n))
+                    assert expr.evaluate(point, B0).is_zero, (n, rest, policy)
+    assert consistent >= 150 and ladders >= 80, (consistent, ladders)
+
+
 def test_stage_table_rows_follow_the_member_order():
     # Over the block minterms in index order the rows are the table; over
     # the same minterms in another order, row i is still member i's.
