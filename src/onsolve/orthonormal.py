@@ -54,24 +54,17 @@ class ZeroMemberError(OrthonormalityError):
 
 @dataclass(frozen=True, eq=False)
 class OrthonormalSet:
-    """ON set in canonical form: ``labels[j]`` is the block of minterm j.
-    The constructor trusts its labels; ``from_blocks`` validates blocks."""
+    """ON set in canonical form: ``labels[j]`` is the block of minterm j and
+    ``reps[i]`` the smallest minterm of block i; the constructor trusts both."""
 
     algebra: Algebra
     n: int
     labels: np.ndarray
+    reps: np.ndarray
 
     def __post_init__(self) -> None:
         self.labels.flags.writeable = False
-
-    @cached_property
-    def reps(self) -> np.ndarray:
-        """The smallest minterm of each block, in block order."""
-        # One unbuffered pass over the labels, not a sort.
-        reps = np.full(self.order, len(self.labels), dtype=np.intp)
-        np.minimum.at(reps, self.labels, np.arange(len(self.labels)))
-        reps.flags.writeable = False
-        return reps
+        self.reps.flags.writeable = False
 
     @cached_property
     def _grouped(self) -> tuple[np.ndarray, np.ndarray]:
@@ -91,8 +84,7 @@ class OrthonormalSet:
 
     @property
     def order(self) -> int:
-        # Every constructor labels the blocks 0 .. order - 1.
-        return int(self.labels.max()) + 1
+        return len(self.reps)
 
     def member(self, i: int) -> BoolFunction:
         algebra = self.algebra
@@ -126,9 +118,11 @@ def from_blocks(algebra: Algebra, n: int, blocks) -> OrthonormalSet:
     The label array is allocated only once the blocks cover every minterm."""
     total = 1 << n
     owner: dict[int, int] = {}
+    reps = []
     for i, block in enumerate(map(frozenset, blocks)):
         if not block:
             raise ZeroMemberError(i)
+        reps.append(min(block))
         for j in block:
             if not 0 <= j < total:
                 raise ValueError(f"minterm index {j} out of range for n={n}")
@@ -137,7 +131,8 @@ def from_blocks(algebra: Algebra, n: int, blocks) -> OrthonormalSet:
             owner[j] = i
     if len(owner) != total:
         raise NotNormalError()
-    return OrthonormalSet(algebra, n, np.array([owner[j] for j in range(total)]))
+    return OrthonormalSet(algebra, n, np.array([owner[j] for j in range(total)]),
+                          np.array(reps))
 
 
 def verify_on(functions) -> OrthonormalSet:
@@ -173,7 +168,8 @@ def minterm_set(n: int, algebra: Algebra,
     ``var_cap``, when one is given, is rejected (only bench/worker.py gives one)."""
     if var_cap is not None and n > var_cap:
         raise ValueError(f"{n} variables exceeds the cap of {var_cap}")
-    return OrthonormalSet(algebra, n, np.arange(1 << n))
+    labels = np.arange(1 << n)
+    return OrthonormalSet(algebra, n, labels, labels)
 
 
 def ladder_terms(m: int) -> list[Term]:
@@ -199,7 +195,8 @@ def ladder_set(m: int, algebra: Algebra) -> OrthonormalSet:
     block i holds the minterms with i leading 1 bits, a run of 2^(m-i-1)
     minterms for i < m, and block m the last minterm.  m = 0 is one block."""
     runs = [1 << (m - i - 1) for i in range(m)] + [1]
-    return OrthonormalSet(algebra, m, np.repeat(np.arange(m + 1), runs))
+    return OrthonormalSet(algebra, m, np.repeat(np.arange(m + 1), runs),
+                          np.cumsum([0] + runs[:-1]))
 
 
 @dataclass(frozen=True)
@@ -332,14 +329,17 @@ def parse_on_set(text: str, algebra: Algebra) -> OrthonormalSet:
             raise ValueError(f"line {lineno}: expected an integer, got {token!r}")
     m, n = int(head[0]), int(head[1])
     if len(records) - 1 != m:
-        raise ValueError(f"expected {m} block records, got {len(records) - 1}")
-    blocks: list[list[int]] = [[]] * m
+        raise ValueError(f"line {lineno}: expected {m} block records,"
+                         f" got {len(records) - 1}")
+    blocks: list[list[int] | None] = [None] * m
     for lineno, record in records[1:]:
         match = _BLOCK_RE.match(record)
         if not match:
             raise ValueError(f"line {lineno}: malformed block record {record!r}")
         i = int(match.group(1))
         if not 1 <= i <= m:
-            raise ValueError(f"block number M{i} outside 1..{m}")
+            raise ValueError(f"line {lineno}: block number M{i} outside 1..{m}")
+        if blocks[i - 1] is not None:
+            raise ValueError(f"line {lineno}: repeated block record M{i}")
         blocks[i - 1] = [int(s) for s in match.group(2).replace(",", " ").split()]
     return from_blocks(algebra, n, blocks)

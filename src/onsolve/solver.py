@@ -572,11 +572,10 @@ def extract_solution(trace: EliminationTrace) -> Assignment:
     if not trace.consistent:
         raise InconsistentTraceError(f"final eliminant is {trace.final}, not 0")
     algebra = trace.algebra
-    step = -1 if algebra.is_two_element else 1
+    order = slice(None, None, -1 if algebra.is_two_element else 1)
     values: dict[int, int] = {}
     for stage in reversed(trace.stages):
         constants = stage.constants_at(values)
-        order = np.arange(stage.phi.order)[::step]
         beta = _linear_on(constants, _entry(algebra, algebra.full_mask), order)
         if beta is None:
             raise InconsistentTraceError(

@@ -625,6 +625,23 @@ def test_check_on_reports_bad_header_line(capsys, tmp_path):
         assert run(capsys, "check-on", str(onset)) == (2, "", f"error: {message}\n"), text
 
 
+# A partition-form block record that repeats a block or names one outside
+# 1..m, and a record count other than m: exit code 2 and the line at fault,
+# the header's line for the count.
+@pytest.mark.parametrize("text, message", [
+    pytest.param("2 2\nM1={0,1}\nM1={2,3}\n",
+                 "line 3: repeated block record M1", id="repeated"),
+    pytest.param("2 2\nM3={0,1}\nM2={2,3}\n",
+                 "line 2: block number M3 outside 1..2", id="outside"),
+    pytest.param("# two blocks\n2 2\nM1={0,1}\nM2={2}; M3={3}\n",
+                 "line 2: expected 2 block records, got 3", id="count"),
+])
+def test_check_on_reports_bad_block_record_line(capsys, tmp_path, text, message):
+    onset = tmp_path / "bad.txt"
+    onset.write_text(text)
+    assert run(capsys, "check-on", str(onset)) == (2, "", f"error: {message}\n")
+
+
 def test_algebra_flag_overrides_every_file(capsys, tmp_path):
     # `--algebra K` beats the 'algebra' line of the ON-set file as well as
     # the problem's, and K = 0 counts as given.

@@ -107,7 +107,7 @@ def test_partition_validation():
     with pytest.raises(NotNormalError):
         from_blocks(B0, 40, [{0, 1}, {2, 3}])
     swapped = from_blocks(B0, 1, [[1, 1], (0,)])
-    assert swapped == OrthonormalSet(B0, 1, np.array([1, 0]))
+    assert swapped == OrthonormalSet(B0, 1, np.array([1, 0]), np.array([1, 0]))
     assert swapped != minterm_set(1, B0)
     with pytest.raises(TypeError):
         hash(swapped)
@@ -147,8 +147,8 @@ def test_minterm_set_small():
 
 
 def test_order_counts_the_blocks_of_every_constructor():
-    # order reads the largest label, so every constructor must label the
-    # blocks 0 .. order - 1.
+    # order is the number of reps, so every constructor must give one
+    # representative per block.
     onsets = [minterm_set(3, B0), minterm_set(0, B2),
               term_set(3, ladder_terms(3), B0),
               from_blocks(B0, 2, [{3}, {0, 2}, {1}]),
@@ -156,6 +156,29 @@ def test_order_counts_the_blocks_of_every_constructor():
     for onset in onsets:
         assert onset.order == len(onset.reps) == len(onset.blocks)
     assert [onset.order for onset in onsets] == [8, 1, 4, 3, 1, 3, 4]
+
+
+def test_constructors_give_each_blocks_smallest_minterm():
+    # The reference is the scatter-min that once computed reps from labels.
+    rng = random.Random(24)
+    onsets = [minterm_set(n, B0) for n in range(13)]
+    onsets += [ladder_set(m, B2) for m in range(13)]
+    onsets += [verify_on([term_to_function(t, m, B0) for t in ladder_terms(m)])
+               for m in range(1, 9)]
+    for _ in range(200):
+        total = 1 << rng.randint(0, 6)
+        blocks = rand_partition(total, rng.randint(1, total), rng)
+        onsets.append(from_blocks(B2, total.bit_length() - 1, blocks))
+    for onset in onsets:
+        labels = onset.labels
+        assert onset.order == labels.max() + 1 == len(onset.reps)
+        ref = np.full(onset.order, len(labels))
+        np.minimum.at(ref, labels, np.arange(len(labels)))
+        assert np.array_equal(onset.reps, ref), onset
+        with pytest.raises(ValueError):
+            onset.reps[0] = 0
+    # Blocks listed out of index order keep their order.
+    assert from_blocks(B0, 2, [{3}, {0, 1, 2}]).reps.tolist() == [3, 0]
 
 
 def test_ladder_set_labels_the_ladder_terms():
