@@ -1,9 +1,10 @@
-"""Deliberately naive brute-force references for cross-checking the solvers.
+"""A deliberately naive brute-force consistency reference for cross-checking
+the solvers.
 
 Over the two-element algebra consistency is decided by 0/1 assignments, so
 the canonical coefficient table is scanned directly; over a general finite
-algebra every tuple of B**n is tried.  Budgets are explicit and generous
-enough for the bundled tests, nothing here aims to be fast.
+algebra every tuple of B**n is tried.  The point budget is explicit and
+generous enough for the bundled tests, nothing here aims to be fast.
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .function import BoolFunction, point_bits
-from .orthonormal import OrthonormalSet
 from .solver import Assignment
 
 DEFAULT_POINT_BUDGET = 1 << 24
-DEFAULT_TUPLE_BUDGET = 1 << 16
 
 
 class BudgetExceededError(ValueError):
@@ -65,25 +64,3 @@ def brute_consistency(f: BoolFunction,
         if f.evaluate(point).is_zero:
             return OracleReport(True, dict(enumerate(point)), checked)
     return OracleReport(False, None, checked)
-
-
-def brute_class_membership(f: BoolFunction, onset: OrthonormalSet,
-                           tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> bool:
-    """Exhaustively search for constants making sum(a_i * phi_i) equal f.
-
-    Candidate expansions are compared on the coefficient tables, which pins
-    the functions completely by the canonical form.
-    """
-    if f.algebra != onset.algebra or f.n != onset.n:
-        raise ValueError("function and ON set must share algebra and arity")
-    m = onset.order
-    size = f.algebra.size
-    if size ** m > tuple_budget:
-        raise BudgetExceededError(
-            f"{size}^{m} candidate tuples exceed the budget of {tuple_budget}")
-    # (block of minterm j, coefficient mask at j) for every minterm j
-    pairs = list(zip(onset.labels.tolist(), f.table.tolist()))
-    for candidate in itertools.product(range(size), repeat=m):
-        if all(candidate[i] == mask for i, mask in pairs):
-            return True
-    return False

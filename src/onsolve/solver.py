@@ -7,12 +7,12 @@ eliminant over the remaining variables; iterating over a variable split
 drives the table down to a constant whose vanishing decides consistency.
 Back-substitution then rebuilds a concrete solution stage by stage, using the
 explicit solutions of the linear ON equation, of minterm systems, and of
-systems phi_i(X) = beta_i defined by an ON set.  A problem is solved from
-its expression tree by ``eliminate_expr``, which writes stage 1 straight
-from the tree in row slabs under either ON-set policy.  Over the
-two-element algebra a slab is written 64 entries per uint64 word, stage 1's
-AND runs on the words at every row width, and only the eliminant and the
-kept table are unpacked to the ``bool`` tables of the later stages.
+systems phi_i(X) = beta_i defined by an ON set.  One routine, ``_stage``,
+runs every elimination stage from its source: stage 1 of ``eliminate_expr``
+writes the expression tree in row slabs, 64 entries per uint64 word over
+the two-element algebra, and every other stage reads a table as one
+unpacked slab.  Both go through one AND and one class check, and an ON set
+passed explicitly is always folded.
 """
 
 from __future__ import annotations
@@ -260,21 +260,6 @@ def _fold_rows(table: np.ndarray, rows: np.ndarray, lo: int,
             "member of the block ON set; the function is outside the class")
 
 
-def _stage_expand(f: BoolFunction, block: tuple[int, ...],
-                  phi: OrthonormalSet) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (order, 2**rest) coefficient table of f's expansion in the
-    ON set on the block, plus the eliminant table (the AND of its rows).
-    Row i is f restricted to the smallest minterm of block i; f is in the
-    class when every minterm's restriction equals its block's row."""
-    table = rows = _block_rows(f, block)
-    # The block minterms in index order need no fold: the rows are the table.
-    if not np.array_equal(phi.labels, np.arange(len(rows))):
-        table = np.empty((phi.order, rows.shape[1]), dtype=rows.dtype)
-        _fold_rows(table, rows, 0, phi)
-    table.flags.writeable = False
-    return table, np.bitwise_and.reduce(table, axis=0)
-
-
 def _local_onset(policy: str, width: int, algebra: Algebra) -> OrthonormalSet:
     if policy == "minterm":
         return minterm_set(width, algebra)
@@ -289,9 +274,10 @@ def block_eliminant(f: BoolFunction, block,
 
     ``phi`` is an ON set over the block's own variables (first block variable
     = most significant minterm bit); None means the block minterms, for which
-    the expansion always exists.  The result ranges over the remaining
-    variables in their original order, and f = 0 is consistent exactly when
-    the eliminant is 0-consistent.
+    the expansion always exists.  An explicit ``phi`` is always checked, and
+    raises ``InapplicableClassError`` when f is outside its class.  The
+    result ranges over the remaining variables in their original order, and
+    f = 0 is consistent exactly when the eliminant is 0-consistent.
     """
     block = tuple(block)
     if len(set(block)) != len(block):
@@ -299,12 +285,12 @@ def block_eliminant(f: BoolFunction, block,
     for i in block:
         if not 0 <= i < f.n:
             raise IndexError(f"variable index {i} out of range for n={f.n}")
-    if phi is None:
+    minterms = phi is None
+    if minterms:
         phi = minterm_set(len(block), f.algebra)
     elif phi.n != len(block) or phi.algebra != f.algebra:
         raise ValueError("ON set does not match the block")
-    _, eliminant = _stage_expand(f, block, phi)
-    return BoolFunction(f.algebra, f.n - len(block), eliminant)
+    return _stage(f, range(f.n), block, phi, minterms).eliminant
 
 
 @dataclass(frozen=True)
@@ -395,20 +381,19 @@ def _check_split(n: int, split) -> tuple[tuple[int, ...], ...]:
     return split
 
 
-def _eliminate_stages(g: BoolFunction, remaining, split,
-                      phi_policy: str) -> tuple[list[EliminationStage], BoolFunction]:
-    """The stages eliminating ``split``'s blocks from g, which ranges over
-    the original variables ``remaining`` in order; also the last eliminant."""
-    remaining = list(remaining)
-    stages = []
-    for block in split:
-        positions = tuple(remaining.index(i) for i in block)
-        phi = _local_onset(phi_policy, len(block), g.algebra)
-        table, eliminant_table = _stage_expand(g, positions, phi)
-        remaining = [i for i in remaining if i not in block]
-        g = BoolFunction(g.algebra, len(remaining), eliminant_table)
-        stages.append(EliminationStage(block, tuple(remaining), phi, table, g))
-    return stages, g
+def _eliminate(source: Expr | BoolFunction, n: int, algebra: Algebra, split,
+               policy: str) -> EliminationTrace:
+    """The trace of eliminating ``split``'s blocks in turn from ``source``, an
+    expression tree or a table over 0..n-1: each stage's eliminant is the
+    next stage's source.  At n = 0 the split is empty, and one stage of the
+    empty block, which is not kept, turns the source into its value."""
+    stages, variables = [], range(n)
+    for block in split or ((),):
+        phi = _local_onset(policy, len(block), algebra)
+        stages.append(_stage(source, variables, block, phi, policy == "minterm"))
+        source, variables = stages[-1].eliminant, stages[-1].remaining
+    return EliminationTrace(algebra, n, split, policy, tuple(stages[:len(split)]),
+                            source.coeff(0))
 
 
 def eliminate_blocks(f: BoolFunction, split,
@@ -419,14 +404,11 @@ def eliminate_blocks(f: BoolFunction, split,
     order and must partition 0..n-1.  The equation f = 0 is consistent
     exactly when the trace's final constant is 0.
     """
-    split = _check_split(f.n, split)
-    stages, g = _eliminate_stages(f, range(f.n), split, phi_policy)
-    return EliminationTrace(f.algebra, f.n, split, phi_policy,
-                            tuple(stages), g.coeff(0))
+    return _eliminate(f, f.n, f.algebra, _check_split(f.n, split), phi_policy)
 
 
 # ---------------------------------------------------------------------------
-# Expression trees: stage 1 from the tree
+# One stage routine, from an expression tree or a table
 
 # A slab of 2^20 entries (1 MiB as bool, 128 KiB as words) or more keeps
 # numpy's per-call cost small.
@@ -476,21 +458,24 @@ def cnf_function(n: int, clauses, algebra: Algebra) -> BoolFunction:
     return BoolFunction.from_expr(cnf_expr(clauses, algebra), n, algebra)
 
 
-def eliminate_expr(expr: Expr, n: int, algebra: Algebra, split,
-                   phi_policy: str = "minterm") -> EliminationTrace:
-    """``eliminate_blocks(BoolFunction.from_expr(expr, n, algebra), split,
-    phi_policy)``, without a 2^n table when stage 1 is larger than one slab.
+def _stage(source: Expr | BoolFunction, variables, block: tuple[int, ...],
+           phi: OrthonormalSet, minterms: bool) -> EliminationStage | CubeStage:
+    """The stage eliminating ``block`` from ``source``, an expression tree or
+    a table over the original variables ``variables`` in order.  ``minterms``
+    says that ``phi`` is the block minterms, whose rows need no fold.
 
-    Row A of stage 1 is f with the first block at A, and the eliminant is
-    the AND of the rows.  They are written in slabs, runs of whole rows that
-    share their leading block bits (the prefix), in index order: one slab
-    holds every row when they fit, and otherwise each slab is a copy of a
-    common buffer, which holds the parts without a prefix variable, plus the
-    parts the prefix leaves live.  ``_fold_rows`` keeps the (order, 2^rest)
-    coefficient table and checks the class.  The block minterms need no
-    fold, and past one slab they keep no table: stage 1 is a ``CubeStage``.
+    Row A is the source with the block at A, and the eliminant is the AND of
+    the rows.  They are read in slabs, runs of whole rows that share their
+    leading block bits (the prefix), in index order.  A table is one slab of
+    its rows, unpacked (``_block_rows``, a view under a consecutive split).
+    A tree is written: one slab holds every row when they fit, and otherwise
+    each slab is a copy of a common buffer, which holds the parts without a
+    prefix variable, plus the parts the prefix leaves live.  ``_fold_rows``
+    keeps the (order, 2^rest) coefficient table and checks the class.  The
+    block minterms need no fold, and past one slab they keep no table: the
+    stage is a ``CubeStage``.
 
-    Over the two-element algebra every slab is written as 64-entry words,
+    Over the two-element algebra a tree's slab is written as 64-entry words,
     one word below six variables.  The AND runs on the words at every row
     width: rows of whole words are ANDed column by column, and for narrower
     rows all the words are ANDed into one, whose 64 / 2^rest lane groups
@@ -498,65 +483,77 @@ def eliminate_expr(expr: Expr, n: int, algebra: Algebra, split,
     read the rows as words (``_rows``), each narrow row in a word of its
     own.  Only the eliminant and the kept table are unpacked.
     """
-    split = _check_split(n, split)
-    _check_expr(expr, n, algebra)
-    block = split[0] if split else ()
-    remaining = tuple(i for i in range(n) if i not in block)
+    algebra = phi.algebra
+    remaining = tuple(i for i in variables if i not in block)
     rest = len(remaining)
-    phi = _local_onset(phi_policy, len(block), algebra)
-    # Each slab holds 2^free rows of 2^rest entries.
-    free = min(len(block), max(0, (_SLAB_ENTRIES - 1).bit_length() - rest))
-    prefix, variables = block[:len(block) - free], block[len(block) - free:] + remaining
-    space, lanes = algebra, {}
-    if algebra.is_two_element:
-        cut = max(0, len(variables) - 6)
-        lanes = dict(zip(variables[cut:], _LANES[6 - len(variables[cut:]):]))
-        space, variables = WORDS, variables[:cut]
-    common, live = np.zeros(1 << len(variables), dtype=_dtype_for(space)), expr
-    if prefix:
-        fixed, live = [], []
-        for part in expr.parts if isinstance(expr, Sum) else (expr,):
-            (fixed if _variables(part).isdisjoint(prefix) else live).append(part)
-        _write_expr(common, variables, Sum(tuple(fixed)), lanes, space)
-        live = Sum(tuple(live))
+    tree = isinstance(source, Expr)
+    prefix, space, lanes = (), algebra, {}
+    if tree:
+        # Each slab holds 2^free rows of 2^rest entries.
+        free = min(len(block), max(0, (_SLAB_ENTRIES - 1).bit_length() - rest))
+        prefix, written = block[:len(block) - free], block[len(block) - free:] + remaining
+        if algebra.is_two_element:
+            cut = max(0, len(written) - 6)
+            lanes = dict(zip(written[cut:], _LANES[6 - len(written[cut:]):]))
+            space, written = WORDS, written[:cut]
+        common, live = np.zeros(1 << len(written), dtype=_dtype_for(space)), source
+        if prefix:
+            fixed, live = [], []
+            for part in source.parts if isinstance(source, Sum) else (source,):
+                (fixed if _variables(part).isdisjoint(prefix) else live).append(part)
+            _write_expr(common, written, Sum(tuple(fixed)), lanes, space)
+            live = Sum(tuple(live))
+    else:
+        free = len(block)
+        common = _block_rows(source, tuple(variables.index(i) for i in block)).reshape(-1)
     # One slab is written in place: np.copyto of an array onto itself is free.
     slab = np.empty_like(common) if prefix else common
     # The entries or words of one row, or one word of several narrow rows.
-    eliminant = np.full(max(1, len(common) >> free), _entry(space, space.full_mask),
-                        dtype=common.dtype)
-    table = None if phi_policy == "minterm" else np.empty((phi.order, len(eliminant)),
-                                                          dtype=common.dtype)
+    width = max(1, len(common) >> free)
+    table = None if minterms else np.empty((phi.order, width), dtype=common.dtype)
     zero = 0
     for p in range(1 << len(prefix)):
-        np.copyto(slab, common)
-        point = lanes | {v: bit * space.full_mask
-                         for v, bit in zip(prefix, point_bits(p, len(prefix)))}
-        _write_expr(slab, variables, live, point, space)
-        eliminant &= np.bitwise_and.reduce(slab.reshape(-1, len(eliminant)), axis=0)
+        if tree:
+            np.copyto(slab, common)
+            point = lanes | {v: bit * space.full_mask
+                             for v, bit in zip(prefix, point_bits(p, len(prefix)))}
+            _write_expr(slab, written, live, point, space)
+        product = np.bitwise_and.reduce(slab.reshape(-1, width), axis=0)
+        if p:
+            eliminant &= product
+        else:
+            eliminant = product
         if table is not None:
             _fold_rows(table, _rows(slab, free, rest), p << free, phi)
         elif prefix:
             zero += int(np.count_nonzero(~_rows(slab, free, rest).any(axis=1)))
-    if algebra.is_two_element:
+    packed = space is WORDS
+    if packed:
         # Fold the word's lane groups of 2^rest onto the first: their AND.
         for k in reversed(range(rest, 6)):
             eliminant &= eliminant >> np.uint64(1 << k)
         eliminant = _unpack(eliminant)[:1 << rest]
     g = BoolFunction(algebra, rest, eliminant)
     if table is None and prefix:
-        first = CubeStage(block, remaining, phi, expr, g, zero)
-    else:
-        if table is None:
-            table = _unpack(slab)[:1 << n] if algebra.is_two_element else slab
-            table = table.reshape(1 << len(block), -1)
-        elif algebra.is_two_element:
-            table = _unpack(table).reshape(len(table), -1)[:, :1 << rest]
-        table.flags.writeable = False
-        first = EliminationStage(block, remaining, phi, table, g)
-    stages, g = _eliminate_stages(g, remaining, split[1:], phi_policy)
-    # At n = 0 the split is empty: the one row is f's value, and no stage.
-    return EliminationTrace(algebra, n, split, phi_policy,
-                            (first, *stages)[:len(split)], g.coeff(0))
+        return CubeStage(block, remaining, phi, source, g, zero)
+    if table is None:
+        table = _unpack(slab)[:1 << len(variables)] if packed else slab
+        table = table.reshape(1 << len(block), -1)
+    elif packed:
+        table = _unpack(table).reshape(len(table), -1)[:, :1 << rest]
+    table.flags.writeable = False
+    return EliminationStage(block, remaining, phi, table, g)
+
+
+def eliminate_expr(expr: Expr, n: int, algebra: Algebra, split,
+                   phi_policy: str = "minterm") -> EliminationTrace:
+    """``eliminate_blocks(BoolFunction.from_expr(expr, n, algebra), split,
+    phi_policy)``, without a 2^n table when stage 1 is larger than one slab:
+    stage 1 is written from the tree (``_stage``), and each later stage
+    reads the eliminant before it."""
+    split = _check_split(n, split)
+    _check_expr(expr, n, algebra)
+    return _eliminate(expr, n, algebra, split, phi_policy)
 
 
 def extract_solution(trace: EliminationTrace) -> Assignment:

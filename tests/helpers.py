@@ -2,8 +2,9 @@
 
 The evaluation and satisfiability oracles here deliberately avoid the code
 paths they are used to check: evaluation goes literal by literal through the
-minterm sum, and satisfaction of CNF clauses is checked straight off the
-literal lists.
+minterm sum, satisfaction of CNF clauses is checked straight off the literal
+lists, class membership is an exhaustive search for the constants, and the
+elimination stages are read off the dense tables with plain numpy.
 """
 
 from __future__ import annotations
@@ -13,7 +14,18 @@ import random
 
 import numpy as np
 
-from onsolve import Algebra, AlgebraElement, BoolFunction, complement, join, meet
+from onsolve import (
+    Algebra,
+    AlgebraElement,
+    BoolFunction,
+    BudgetExceededError,
+    OrthonormalSet,
+    complement,
+    join,
+    ladder_set,
+    meet,
+    minterm_set,
+)
 from onsolve.function import point_bits
 
 B0 = Algebra(1)
@@ -69,6 +81,59 @@ def minterm_sum_eval(f: BoolFunction, point) -> AlgebraElement:
             mu = meet(mu, z if bit else complement(z))
         out = join(out, meet(f.coeff(j), mu))
     return out
+
+
+DEFAULT_TUPLE_BUDGET = 1 << 16
+
+
+def brute_class_membership(f: BoolFunction, onset: OrthonormalSet,
+                           tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> bool:
+    """Exhaustively search for constants making sum(a_i * phi_i) equal f.
+
+    Candidate expansions are compared on the coefficient tables, which pins
+    the functions completely by the canonical form.
+    """
+    if f.algebra != onset.algebra or f.n != onset.n:
+        raise ValueError("function and ON set must share algebra and arity")
+    m = onset.order
+    size = f.algebra.size
+    if size ** m > tuple_budget:
+        raise BudgetExceededError(
+            f"{size}^{m} candidate tuples exceed the budget of {tuple_budget}")
+    # (block of minterm j, coefficient mask at j) for every minterm j
+    pairs = list(zip(onset.labels.tolist(), f.table.tolist()))
+    for candidate in itertools.product(range(size), repeat=m):
+        if all(candidate[i] == mask for i, mask in pairs):
+            return True
+    return False
+
+
+class OutsideClassError(ValueError):
+    """``dense_stages`` found a block whose minterm rows differ."""
+
+
+def dense_stages(f: BoolFunction, split, policy: str) -> list[tuple]:
+    """(eliminant table, zero coefficients, coefficient table) of each stage
+    of f under ``split``, from the dense tables: a block's rows by
+    ``np.moveaxis``, member i's row as the common row of block i's minterms
+    (``labels``), and the eliminant as the AND of all the rows."""
+    table, variables, stages = f.table, list(range(f.n)), []
+    for block in split:
+        b = len(block)
+        phi = (minterm_set if policy == "minterm" else ladder_set)(b, f.algebra)
+        axes = [variables.index(i) for i in block]
+        tensor = table.reshape((2,) * len(variables))
+        rows = np.moveaxis(tensor, axes, range(b)).reshape(1 << b, -1)
+        kept = np.zeros((phi.order, rows.shape[1]), dtype=rows.dtype)
+        for i in range(phi.order):
+            members = rows[phi.labels == i]
+            if (members != members[0]).any():
+                raise OutsideClassError(f"block {block}, member {i}")
+            kept[i] = members[0]
+        table = np.bitwise_and.reduce(rows, axis=0)
+        stages.append((table, int(np.count_nonzero(~kept.any(axis=1))), kept))
+        variables = [i for i in variables if i not in block]
+    return stages
 
 
 def is_on_tuple(items, algebra: Algebra) -> bool:

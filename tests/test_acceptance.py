@@ -12,7 +12,6 @@ import numpy as np
 
 from onsolve import (
     BoolFunction,
-    brute_class_membership,
     brute_consistency,
     complement,
     consecutive_split,
@@ -35,6 +34,7 @@ from helpers import (
     B0,
     B2,
     B3,
+    brute_class_membership,
     clauses_satisfied,
     is_coon_tuple,
     is_on_tuple,

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior on the bundled instances."""
 
+import hashlib
 import random
 from pathlib import Path
 
@@ -212,6 +213,26 @@ def test_solve_trace_flag(capsys):
     for name, expected in GOLDEN_TRACES.items():
         code, out, _ = run(capsys, "solve", str(INSTANCES / name), "--trace")
         assert (code, out) == (_exit_code(expected), expected), name
+
+
+# SHA-256 over (file name, flags, exit code, stdout, stderr) of `solve --trace`
+# on every problem file in instances/, under both policies and at block sizes
+# 1, 2, 3, 4 and 16.  Any change to a verdict, model, trace line or error
+# message changes it; such a change must be stated in the README and
+# CHANGES.md along with the new digest.
+TRACE_GRID_DIGEST = "eb6de4133c6ae56e886d03186224213c926a4cf8e9a73461c1334bd5c769aa8b"
+
+
+def test_solve_trace_grid_digest(capsys):
+    digest = hashlib.sha256()
+    for path in sorted(p for p in INSTANCES.iterdir() if p.suffix in (".txt", ".cnf")):
+        for policy in ("minterm", "ladder"):
+            for size in ("1", "2", "3", "4", "16"):
+                flags = ("--trace", "--phi-policy", policy, "--block-size", size)
+                code, out, err = run(capsys, "solve", str(path), *flags)
+                err = err.replace(str(INSTANCES), "instances")
+                digest.update(repr((path.name, flags, code, out, err)).encode())
+    assert digest.hexdigest() == TRACE_GRID_DIGEST
 
 
 def _forbid_tables(monkeypatch):

@@ -7,7 +7,6 @@ import pytest
 from onsolve import (
     BoolFunction,
     BudgetExceededError,
-    brute_class_membership,
     brute_consistency,
     from_blocks,
     is_in_class,
@@ -15,7 +14,14 @@ from onsolve import (
     parse,
 )
 
-from helpers import B0, B2, minterm_sum_eval, rand_function, rand_partition
+from helpers import (
+    B0,
+    B2,
+    brute_class_membership,
+    minterm_sum_eval,
+    rand_function,
+    rand_partition,
+)
 
 
 def test_zero_function_witnessed_at_origin():

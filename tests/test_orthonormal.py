@@ -14,7 +14,6 @@ from onsolve import (
     NotOrthogonalError,
     OrthonormalSet,
     ZeroMemberError,
-    brute_class_membership,
     coefficient_interval,
     expand,
     expand_in_terms,
@@ -38,6 +37,7 @@ from helpers import (
     B2,
     B3,
     all_points,
+    brute_class_membership,
     rand_element,
     rand_function,
     rand_partition,

@@ -29,6 +29,7 @@ from onsolve import (
     extract_solution,
     from_blocks,
     is_in_class,
+    ladder_set,
     minterm_set,
     necessary_condition,
     parse,
@@ -49,6 +50,8 @@ from helpers import (
     B0,
     B2,
     B3,
+    OutsideClassError,
+    dense_stages,
     is_coon_tuple,
     is_on_tuple,
     rand_b0_function,
@@ -401,6 +404,11 @@ def test_block_eliminant_worked_example():
     x = BoolFunction.variable(B0, 1, 0)
     one = BoolFunction.constant(B0, 1, B0.one)
     assert [coeffs[i] for i in (3, 1, 2, 0)] == [x, x, one, one]
+    # An explicit ON set is folded and checked: the block minterms give the
+    # same eliminant, and the ladder member y' (rows 1 and x) has no constant.
+    assert block_eliminant(f, (1, 2), minterm_set(2, B0)) == eliminant
+    with pytest.raises(InapplicableClassError):
+        block_eliminant(f, (1, 2), ladder_set(2, B0))
 
 
 def test_block_eliminant_full_block_is_constant_product():
@@ -674,6 +682,25 @@ def _trace_or_error(eliminate, *args):
         return None
 
 
+def _dense_or_none(f, split, policy):
+    try:
+        return dense_stages(f, split, policy)
+    except OutsideClassError:
+        return None
+
+
+def _assert_matches_dense(trace, reference):
+    """Each stage's eliminant, zero count and kept table equal those that
+    ``dense_stages`` reads off f's table (a ``CubeStage`` keeps no table)."""
+    assert len(trace.stages) == len(reference)
+    for stage, (eliminant, zero, kept) in zip(trace.stages, reference):
+        assert np.array_equal(stage.eliminant.table, eliminant)
+        assert stage.zero_coefficients == zero
+        if not isinstance(stage, CubeStage):
+            assert stage.table.dtype == kept.dtype and stage.table.shape == kept.shape
+            assert np.array_equal(stage.table, kept)
+
+
 @pytest.mark.parametrize("slab", [1, 16, 256, solver._SLAB_ENTRIES])
 def test_eliminate_expr_matches_dense_stages(monkeypatch, slab):
     # Small slabs make the per-row and multi-slab paths run at n <= 12.
@@ -692,10 +719,13 @@ def test_eliminate_expr_matches_dense_stages(monkeypatch, slab):
             for policy in ("minterm", "ladder"):
                 dense = _trace_or_error(eliminate_blocks, f, split, policy)
                 fast = _trace_or_error(eliminate_expr, expr, n, algebra, split, policy)
-                if dense is None or fast is None:
-                    assert dense is fast, policy
+                reference = _dense_or_none(f, split, policy)
+                if dense is None or fast is None or reference is None:
+                    assert dense is fast is reference is None, policy
                     continue
                 assert len(fast.stages) == len(dense.stages) == len(split)
+                _assert_matches_dense(fast, reference)
+                _assert_matches_dense(dense, reference)
                 for got, want in zip(fast.stages, dense.stages):
                     assert (got.block, got.remaining) == (want.block, want.remaining)
                     assert np.array_equal(got.eliminant.table, want.eliminant.table)
@@ -864,10 +894,13 @@ def test_narrow_rows_fold_on_words(monkeypatch, slab):
             for policy in ("minterm", "ladder"):
                 want = _trace_or_error(eliminate_blocks, f, split, policy)
                 got = _trace_or_error(eliminate_expr, expr, n, B0, split, policy)
-                if want is None or got is None:
-                    assert want is got, (n, rest, policy)
+                reference = _dense_or_none(f, split, policy)
+                if want is None or got is None or reference is None:
+                    assert want is got is reference is None, (n, rest, policy)
                     continue
                 ladders += policy == "ladder"
+                _assert_matches_dense(got, reference)
+                _assert_matches_dense(want, reference)
                 for mine, theirs in zip(got.stages, want.stages, strict=True):
                     assert np.array_equal(mine.eliminant.table, theirs.eliminant.table)
                     assert mine.zero_coefficients == theirs.zero_coefficients
@@ -885,15 +918,15 @@ def test_narrow_rows_fold_on_words(monkeypatch, slab):
 
 
 def test_stage_table_rows_follow_the_member_order():
-    # Over the block minterms in index order the rows are the table; over
-    # the same minterms in another order, row i is still member i's.
+    # An explicit ON set is folded: over the block minterms in index order
+    # the table is the rows, and in another order row i is still member i's.
     f = parse("x1*x2' + a1*x2 + a0*x1'*x3", 3, B2)
     for order in ([0, 1, 2, 3], [3, 1, 0, 2]):
         phi = from_blocks(B2, 2, [{j} for j in order])
-        table, eliminant = solver._stage_expand(f, (0, 1), phi)
+        stage = solver._stage(f, range(3), (0, 1), phi, False)
         rows = f.table.reshape(4, 2)
-        assert np.array_equal(table, rows[order])
-        assert np.array_equal(eliminant, np.bitwise_and.reduce(rows, axis=0))
+        assert np.array_equal(stage.table, rows[order])
+        assert np.array_equal(stage.eliminant.table, np.bitwise_and.reduce(rows, axis=0))
 
 
 # Clauses over x1, x5, .., x21 only: each block of four depends on its first
