@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
 
+import numpy as np
+
 from .algebra import Algebra, AlgebraElement
 from .function import BoolFunction, parse, to_expression
 from .orthonormal import (
@@ -32,7 +34,8 @@ from .orthonormal import (
     verify_on,
 )
 from .oracle import brute_consistency
-from .parsing import Expr, ExpressionSyntaxError, cnf_expr, parse_element, parse_expr
+from .parsing import (Expr, ExpressionSyntaxError, clause_cubes, cnf_expr,
+                      parse_element, parse_expr)
 from .solver import (
     Assignment,
     EliminationTrace,
@@ -77,7 +80,7 @@ class ProblemFile:
     var_names: list[str]
     split: list[list[int]] | None
     onset: OrthonormalSet | None
-    expr: Expr  # a DIMACS file is its cnf_expr
+    expr: Expr  # a DIMACS file is its clause_cubes
 
     @cached_property
     def function(self) -> BoolFunction:
@@ -93,66 +96,104 @@ def default_var_names(n: int) -> list[str]:
     return [f"x{i + 1}" for i in range(n)]
 
 
-def _integer(token: str, lineno: int) -> int:
-    """A number field on line ``lineno`` of an input file: ASCII digits
-    after an optional sign.  ``int`` alone also reads other Unicode digits
-    and ``_`` separators."""
-    if not re.fullmatch(r"[+-]?[0-9]+", token):
-        raise ProblemFormatError(f"line {lineno}: expected an integer, got {token!r}")
-    return int(token)
-
-
 # ---------------------------------------------------------------------------
 # DIMACS
 
 
-def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
-    n = None
-    clauses: list[list[int]] = []
-    pending: list[int] = []
-    widest = 0  # the largest |literal| read
-    # int() reads other Unicode digits and "_" too; an ASCII text without
-    # "_" holds neither, so only other texts check each line.
-    plain = text.isascii() and "_" not in text
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith(("c", "%")):
-            continue
-        if line.startswith("p"):
-            fields = line.split()
+# Characters that end a line for str.splitlines besides "\n".
+_LINE_BREAKS = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+# A comment ("c", "%") or problem ("p") line; group 1 is its first letter.
+_NOT_CLAUSES = re.compile(r"^[^\S\n]*([cp%])[^\n]*", re.M)
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(token: str, lineno: int) -> int:
+    """A number field on line ``lineno`` of an input file: ASCII digits
+    after an optional sign.  ``int`` alone also reads other Unicode digits
+    and ``_`` separators."""
+    if not _INTEGER.fullmatch(token):
+        raise ProblemFormatError(f"line {lineno}: expected an integer, got {token!r}")
+    return int(token)
+
+
+def _check_tokens(lines) -> None:
+    """Raise on the first token that is not an integer, with its line
+    number; ``lines`` are the first lines of a text."""
+    for lineno, line in enumerate(lines, 1):
+        for token in line.split():
+            _integer(token, lineno)
+
+
+def _read_dimacs(text: str) -> tuple[int, np.ndarray]:
+    """n and the literals of a DIMACS text: every integer of its clause
+    lines, in order, as one array, where each clause ends with a 0 but
+    perhaps the last.  The problem line may come anywhere.  A bad problem
+    line or a token that is not an integer is reported with its line, the
+    first in file order; a missing problem line, a literal outside 1..n,
+    and then a clause count that differs from the problem line's are
+    reported once the whole text is read.
+
+    The clause lines are read in one pass: the comment and problem lines
+    are blanked out with one regular expression, and numpy reads the
+    tokens that remain.  Only when that fails, or when the text holds a
+    character outside ASCII or a ``_`` (which numpy, like ``int``, reads
+    as digits), is each token checked on its own to find the faulty one."""
+    if _LINE_BREAKS.search(text):
+        text = "\n".join(text.splitlines())
+    problems = []
+
+    def blank(line: re.Match) -> str:
+        if line[1] == "p":
+            problems.append(line)
+        return ""
+
+    body = _NOT_CLAUSES.sub(blank, text)
+    n = m = None
+    for match in problems:
+        lineno = text.count("\n", 0, match.start()) + 1
+        try:
+            fields = match[0].split()
             if len(fields) != 4 or fields[1] != "cnf":
-                raise ProblemFormatError(f"bad DIMACS header {line!r}")
+                raise ProblemFormatError(f"bad DIMACS header {match[0].strip()!r}")
             if n is not None:
                 raise ProblemFormatError(f"line {lineno}: repeated DIMACS problem line")
             n = _integer(fields[2], lineno)
-            if _integer(fields[3], lineno) < 0:
+            m = _integer(fields[3], lineno)
+            if m < 0:
                 raise ProblemFormatError(f"line {lineno}: negative clause count")
-            continue
-        fields = line.split()
-        if not plain and (not line.isascii() or "_" in line):
-            fields = [_integer(tok, lineno) for tok in fields]
-        try:
-            for lit in map(int, fields):
-                if not lit:
-                    clauses.append(pending)
-                    pending = []
-                    continue
-                pending.append(lit)
-                if lit > widest or -lit > widest:
-                    widest = abs(lit)
-        except ValueError:
-            for tok in fields:
-                _integer(tok, lineno)  # raises on the first bad token
+        except ProblemFormatError:
+            _check_tokens(body.split("\n", lineno - 1)[:lineno - 1])
             raise
-    if pending:
-        clauses.append(pending)
+        problem_line = lineno
+    tokens = body.split()
+    if not text.isascii() or "_" in text:
+        _check_tokens(body.split("\n"))
+    try:
+        literals = np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        _check_tokens(body.split("\n"))
+        literals = np.array([int(token) for token in tokens], dtype=object)
     if n is None:
         raise ProblemFormatError("missing DIMACS problem line")
-    if widest > n:
-        for clause in clauses:
-            for lit in clause:
-                if abs(lit) > n:
-                    raise ProblemFormatError(f"literal {lit} outside 1..{n}")
+    outside = np.flatnonzero((literals != 0) & ((literals > n) | (literals < -n)))
+    if len(outside):
+        raise ProblemFormatError(f"literal {literals[outside[0]]} outside 1..{n}")
+    read = np.count_nonzero(literals == 0) + bool(len(literals) and literals[-1])
+    if read != m:
+        raise ProblemFormatError(
+            f"line {problem_line}: header declares {m} clauses, read {read}")
+    return n, literals
+
+
+def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
+    """n and the clauses of a DIMACS text, each a list of literals."""
+    n, literals = _read_dimacs(text)
+    values, clauses, start = literals.tolist(), [], 0
+    for end in np.flatnonzero(literals == 0).tolist():
+        clauses.append(values[start:end])
+        start = end + 1
+    if start < len(values):
+        clauses.append(values[start:])
     return n, clauses
 
 
@@ -195,10 +236,10 @@ def parse_problem(path: Path, algebra_override: int | None = None,
         if algebra_override not in (None, 1):
             raise ProblemFormatError("DIMACS problems live over the two-element algebra")
         algebra = Algebra(1)
-        n, clauses = parse_dimacs(text)
+        n, literals = _read_dimacs(text)
         _check_var_cap(n, var_cap)
         return ProblemFile(algebra, n, default_var_names(n), None, None,
-                           cnf_expr(clauses, algebra))
+                           clause_cubes(literals, algebra))
 
     k = None
     var_names: list[str] | None = None

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, AlgebraElement, AlgebraMismatchError
-from .parsing import Cube, Expr, Not, Prod, Sum, parse_expr
+from .parsing import Cubes, Expr, Not, Prod, Sum, parse_expr
 
 
 _BOOL, _UINT64 = np.dtype(bool), np.dtype(np.uint64)
@@ -65,8 +65,8 @@ class BoolFunction:
         if not 0 <= i < n:
             raise IndexError(f"variable index {i} out of range for n={n}")
         table = np.zeros(1 << n, dtype=_dtype_for(algebra))
-        return cls(algebra, n, _write_expr(table, range(n), Cube(algebra.one, ((i, 1),)),
-                                           {}, algebra))
+        x = Cubes(algebra, (1 << i,), (1 << i,), (algebra.full_mask,))
+        return cls(algebra, n, _write_expr(table, range(n), x, {}, algebra))
 
     @classmethod
     def from_coeffs(cls, algebra: Algebra, n: int, coeffs) -> "BoolFunction":
@@ -220,29 +220,47 @@ def _write_expr(table: np.ndarray, variables, expr: Expr, point: dict[int, int],
                 algebra: Algebra) -> np.ndarray:
     """OR the expression into ``table`` in place and return the table.  The
     flat table ranges over ``variables`` (the first is the most significant
-    bit).  A ``Cube`` is one strided write, where a literal on any other
-    variable v is set by ``point[v]``, an atom mask that the term's value
-    meets, and a value of 1 is assigned, which is the same and cheaper.
-    A term's 1 is the table algebra's 1, so a two-element term can be
-    written into 64-lane words (``algebra`` 2^64, lane patterns in
-    ``point``).  Other nodes combine their parts' tables entrywise."""
+    bit).  Each row of a ``Cubes`` node is one strided write, where a
+    literal on any other variable v meets the row's mask with ``point[v]``,
+    an atom mask, or its complement; a mask of 1 is assigned, which is the
+    same and cheaper, and any other is ORed into the strided view in place.
+    A row's 1 is the table algebra's 1, so a two-element row can be written
+    into 64-lane words (``algebra`` 2^64, lane patterns in ``point``).
+    Other nodes combine their parts' tables entrywise."""
     variables = tuple(variables)
     view = table.reshape((2,) * len(variables))
-    axis = {v: a for a, v in enumerate(variables)}
+    # Keyed by a variable's bit: its axis, or the point's mask and complement.
+    axis = {1 << v: a for a, v in enumerate(variables)}
+    met = {1 << v: (mask, ~mask) for v, mask in point.items()}
+    outside = ~sum(axis)
+    # The Ellipsis keeps a view when every axis is fixed.
+    whole = [slice(None)] * len(variables) + [...]
     full, one = algebra.full_mask, _entry(algebra, algebra.full_mask)
     for part in expr.parts if isinstance(expr, Sum) else (expr,):
-        if isinstance(part, Cube):
-            mask = full if part.value.is_one else part.value.mask
-            sel = [slice(None)] * len(variables)
-            for v, bit in part.lits:
-                if v in axis:
-                    sel[axis[v]] = bit
+        if isinstance(part, Cubes):
+            top = part.algebra.full_mask
+            for care, bits, mask in zip(part.care, part.bits, part.value):
+                if mask == top:
+                    mask = full
+                lits = care & outside
+                while lits:
+                    low = lits & -lits
+                    mask &= met[low][0] if bits & low else met[low][1]
+                    lits ^= low
+                if not mask:
+                    continue
+                sel = whole.copy()
+                lits = care & ~outside
+                while lits:
+                    low = lits & -lits
+                    sel[axis[low]] = 1 if bits & low else 0
+                    lits ^= low
+                if mask == full:
+                    view[tuple(sel)] = one
                 else:
-                    mask &= point[v] if bit else ~point[v]
-            if mask == full:
-                view[tuple(sel)] = one
-            elif mask:
-                view[tuple(sel)] |= _entry(algebra, mask)
+                    # Only a uint64 table meets a mask other than 0 and 1.
+                    sub = view[tuple(sel)]
+                    sub |= mask
         elif isinstance(part, Sum):
             _write_expr(table, variables, part, point, algebra)
         elif isinstance(part, Prod):
@@ -256,20 +274,24 @@ def _write_expr(table: np.ndarray, variables, expr: Expr, point: dict[int, int],
     return table
 
 
-def _check_expr(expr: Expr, n: int, algebra: Algebra) -> None:
-    """Reject a constant from another algebra or a variable outside n, before
-    any table is allocated."""
-    if isinstance(expr, Cube):
-        if expr.value.algebra != algebra:
+def _check_algebra(expr: Expr, algebra: Algebra) -> None:
+    if isinstance(expr, Cubes):
+        if expr.algebra != algebra:
             raise AlgebraMismatchError("constant from a different algebra")
-        for v, _ in expr.lits:
-            if v >= n:
-                raise ValueError(f"variable index {v} outside n={n}")
     elif isinstance(expr, (Sum, Prod, Not)):
         for part in (expr.arg,) if isinstance(expr, Not) else expr.parts:
-            _check_expr(part, n, algebra)
+            _check_algebra(part, algebra)
     else:
         raise TypeError(f"unknown expression node {expr!r}")
+
+
+def _check_expr(expr: Expr, n: int, algebra: Algebra) -> None:
+    """Reject a node from another algebra or a variable outside n, before
+    any table is allocated."""
+    _check_algebra(expr, algebra)
+    support = expr.support()
+    if support >> n:
+        raise ValueError(f"variable index {support.bit_length() - 1} outside n={n}")
 
 
 def parse(text: str, n: int, algebra: Algebra,
@@ -327,7 +349,10 @@ def term_to_function(t: Term, n: int, algebra: Algebra) -> BoolFunction:
     if t.width > n:
         raise ValueError(f"term over {t.width} variables does not fit n={n}")
     table = np.zeros(1 << n, dtype=_dtype_for(algebra))
-    cube = Cube(algebra.one, tuple(t.fixed_vars().items()))
+    fixed = t.fixed_vars()
+    care = sum(1 << i for i in fixed)
+    bits = sum(1 << i for i, e in fixed.items() if e)
+    cube = Cubes(algebra, (care,), (bits,), (algebra.full_mask,))
     return BoolFunction(algebra, n, _write_expr(table, range(n), cube, {}, algebra))
 
 

@@ -17,23 +17,28 @@ names such as ``p2``, ``α`` and ``p²`` can be declared; only ASCII digits
 number an ``x`` variable or an ``a`` atom.  Element literals use the same
 grammar without variables.
 
-The parser folds cube terms as it reads them.  Constants and variables are
-``Cube`` leaves: a constant value times literals over distinct variables.
-A product of cubes is one cube (values meet, and a variable met in both
-polarities makes the value 0); a prime on a constant or on a bare literal
-is a cube; a sum of constants is a constant.  ``Sum``, ``Prod`` and ``Not``
-nodes remain only for other shapes, such as a complemented sum that holds
-variables.  While it reads, a cube travels as a plain ``(mask, lits)`` pair
-(an atom mask and the literal tuple); its ``Cube`` and ``AlgebraElement``
-are built once, where the pair joins the tree: as a part of a ``Sum``,
-``Prod`` or ``Not``, or as the whole expression.  So a product term such as
-``(a0+a2)*x1*x3'`` costs one ``Cube``.  A DIMACS clause list is read into
-the same tree by ``cnf_expr``: a ``Sum`` of one ``Cube`` per clause.
+The parser folds cube terms as it reads them.  A sum of cubes is one
+``Cubes`` node: three equal-length tuples of ints, one row per cube, giving
+the variables that have a literal (``care``, bit v for variable v), their
+polarities (``bits``) and the atom mask the literals meet (``value``).  A
+constant or a lone term is a node of one row.  A product of cubes is one
+cube (masks meet, and a variable met in both polarities makes the mask 0);
+a prime on a constant or on a bare literal is a cube; a sum of constants is
+a constant.  ``Sum``, ``Prod`` and ``Not`` nodes remain only for other
+shapes, such as a complemented sum that holds variables.  The cubes of a
+``Sum``, with the rows of any group of cubes among its terms, make one
+``Cubes`` part, its first, and the cube factors of a ``Prod`` make one
+cube, its first part.  While it reads, a cube travels as a plain
+``(mask, care, bits)`` triple of ints; it becomes a row of a node where it
+joins the tree: as a part of a ``Sum``, ``Prod`` or ``Not``, or as the
+whole expression.  So no term costs an object of its own.  A DIMACS clause list is read into the same node by
+``cnf_expr``, and a DIMACS file's literals by ``clause_cubes``: one row per
+clause, on the points that falsify it.
 
 ``_tokenize`` returns the token kinds, texts and start positions as three
 parallel lists, and the parser walks them with one index.  ``term`` reads a
 name, its primes and the ``*`` after it in one loop, and calls ``factor``
-only for a constant or a group.  Each parser keeps the pair that
+only for a constant or a group.  Each parser keeps the triple that
 ``resolve_name`` gave for each name text, so a name repeated in many terms
 is resolved once; a parser reads one text, so nothing resolved under one
 list of variable names is seen under another.
@@ -46,8 +51,14 @@ text is a syntax error at the ``(`` or the ``'`` that crosses it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import or_
 
-from .algebra import Algebra, AlgebraElement, complement, join, meet
+import numpy as np
+
+from .algebra import (Algebra, AlgebraElement, AlgebraMismatchError, complement,
+                      join, meet)
 
 
 class ExpressionSyntaxError(ValueError):
@@ -68,24 +79,49 @@ class Expr:
     def evaluate(self, args: tuple[AlgebraElement, ...], algebra: Algebra) -> AlgebraElement:
         raise NotImplementedError
 
+    def support(self) -> int:
+        """The variables that hold a literal in the tree, bit v for
+        variable v."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
-class Cube(Expr):
-    """``value`` times the literals ``lits``: (variable, bit) pairs over
-    distinct 0-based variables, bit 1 standing for x and 0 for x'."""
+class Cubes(Expr):
+    """A sum of cubes over ``algebra``, one row per cube: row r is the atom
+    mask ``value[r]`` times a literal on each variable v whose bit is set in
+    ``care[r]``, x where bit v of ``bits[r]`` is set and x' where it is
+    not.  All masks are plain ints, and ``bits[r]`` lies within
+    ``care[r]``."""
 
-    value: AlgebraElement
-    lits: tuple[tuple[int, int], ...] = ()
+    algebra: Algebra
+    care: tuple[int, ...]
+    bits: tuple[int, ...]
+    value: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len({v for v, _ in self.lits}) != len(self.lits):
-            raise ValueError(f"cube literals {self.lits} repeat a variable")
+        if not len(self.care) == len(self.bits) == len(self.value):
+            raise ValueError("cube rows must give care, bits and value alike")
 
     def evaluate(self, args, algebra):
-        out = self.value
-        for v, bit in self.lits:
-            out = meet(out, args[v] if bit else complement(args[v]))
-        return out
+        if algebra != self.algebra:
+            raise AlgebraMismatchError("cubes from a different algebra")
+        out = 0
+        for care, bits, mask in zip(self.care, self.bits, self.value):
+            while care and mask:
+                low = care & -care
+                x = args[low.bit_length() - 1].mask
+                mask &= x if bits & low else ~x
+                care ^= low
+            out |= mask
+        return algebra.element(out)
+
+    def support(self) -> int:
+        return reduce(or_, self.care, 0)
+
+    def select(self, keep) -> "Cubes":
+        """The rows where ``keep`` holds, in order."""
+        return Cubes(self.algebra, tuple(compress(self.care, keep)),
+                     tuple(compress(self.bits, keep)), tuple(compress(self.value, keep)))
 
 
 @dataclass(frozen=True)
@@ -98,6 +134,9 @@ class Sum(Expr):
             out = join(out, p.evaluate(args, algebra))
         return out
 
+    def support(self) -> int:
+        return reduce(or_, (p.support() for p in self.parts), 0)
+
 
 @dataclass(frozen=True)
 class Prod(Expr):
@@ -109,6 +148,9 @@ class Prod(Expr):
             out = meet(out, p.evaluate(args, algebra))
         return out
 
+    def support(self) -> int:
+        return reduce(or_, (p.support() for p in self.parts), 0)
+
 
 @dataclass(frozen=True)
 class Not(Expr):
@@ -116,6 +158,9 @@ class Not(Expr):
 
     def evaluate(self, args, algebra):
         return complement(self.arg.evaluate(args, algebra))
+
+    def support(self) -> int:
+        return self.arg.support()
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +210,10 @@ def _tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
 
 class _Parser:
     """Recursive descent over the tokens.  ``primary``, ``factor``, ``term``
-    and ``expr`` return a node, or a cube as a plain ``(mask, lits)`` pair:
-    an atom mask and a tuple of (variable, bit) pairs over distinct
-    variables.  ``cube`` turns a pair into its ``Cube`` where it joins the
-    tree.  ``pos`` indexes the token lists."""
+    and ``expr`` return a node, or a cube as a plain ``(mask, care, bits)``
+    triple of ints: an atom mask, the variables that have a literal and
+    their polarities.  ``cube`` turns a triple into a node of one row where
+    it joins the tree.  ``pos`` indexes the token lists."""
 
     def __init__(self, text: str, n: int, algebra: Algebra,
                  var_names: dict[str, int] | None):
@@ -180,12 +225,12 @@ class _Parser:
         self.algebra = algebra
         self.full = algebra.full_mask
         self.var_names = var_names  # name -> 0-based index, or None
-        self.resolved: dict[str, tuple[int, tuple]] = {}  # name -> its pair
+        self.resolved: dict[str, tuple[int, int, int]] = {}  # name -> its triple
 
-    def cube(self, part: Expr | tuple[int, tuple]) -> Expr:
+    def cube(self, part: Expr | tuple[int, int, int]) -> Expr:
         if type(part) is tuple:
-            mask, lits = part
-            return Cube(self.algebra.element(mask), lits)
+            mask, care, bits = part
+            return Cubes(self.algebra, (care,), (bits,), (mask,))
         return part
 
     def node(self, e: Sum | Prod) -> Expr:
@@ -203,31 +248,58 @@ class _Parser:
                                         self.starts[self.pos])
         return self.cube(e)
 
-    def expr(self) -> Expr | tuple[int, tuple]:
+    def expr(self) -> Expr | tuple[int, int, int]:
+        """Terms joined by ``+``.  A sum of constants is a constant; else
+        the cubes, with the rows of any ``Cubes`` part, make one node, which
+        stands alone or first in a ``Sum`` of the other parts."""
         part = self.term()
         if self.kinds[self.pos] != "+":
             return part
         parts = [part]
-        constant = type(part) is tuple and not part[1]
         while self.kinds[self.pos] == "+":
             self.pos += 1
-            part = self.term()
-            parts.append(part)
-            constant = constant and type(part) is tuple and not part[1]
-        if constant:
-            mask = 0
-            for m, _ in parts:
-                mask |= m
-            return mask, ()
-        return self.node(Sum(tuple(map(self.cube, parts))))
+            parts.append(self.term())
+        value, care, bits, others = [], [], [], []
+        for part in parts:
+            if type(part) is tuple:
+                value.append(part[0])
+                care.append(part[1])
+                bits.append(part[2])
+            elif type(part) is Cubes:
+                value += part.value
+                care += part.care
+                bits += part.bits
+            else:
+                others.append(part)
+        if not (others or any(care)):
+            return reduce(or_, value), 0, 0
+        if value:
+            node = Cubes(self.algebra, tuple(care), tuple(bits), tuple(value))
+            if not others:
+                return node
+            others.insert(0, node)
+        return self.node(Sum(tuple(others)))
 
-    def term(self) -> Expr | tuple[int, tuple]:
+    def product(self, cubes) -> tuple[int, int, int]:
+        """The cube of a product of cubes: the masks meet, and a variable
+        met in both polarities makes the mask 0."""
+        mask, care, bits = self.full, 0, 0
+        for m, c, b in cubes:
+            if care & c & (bits ^ b):
+                mask = 0
+            mask &= m
+            care |= c
+            bits |= b
+        return mask, care, bits
+
+    def term(self) -> Expr | tuple[int, int, int]:
         """Factors up to the next token that cannot start one.  A name and
         its primes are read here, without ``factor``: a prime on a name's
-        pair complements its atom mask or flips its one literal."""
+        triple complements its atom mask or flips its one literal.  The
+        cube factors of a ``Prod`` make its first part."""
         kinds, texts, resolved = self.kinds, self.texts, self.resolved
         parts = []
-        cubes = True  # every part is a pair
+        cubes = True  # every part is a triple
         pos = self.pos
         while True:
             if kinds[pos] == "NAME":
@@ -237,14 +309,14 @@ class _Parser:
                     part = resolved[name] = self.resolve_name(name, self.starts[pos])
                 pos += 1
                 if kinds[pos] == "'":
-                    mask, lits = part
+                    mask, care, bits = part
                     while kinds[pos] == "'":
                         pos += 1
-                        if lits:
-                            lits = ((lits[0][0], 1 - lits[0][1]),)
+                        if care:
+                            bits ^= care
                         else:
                             mask ^= self.full
-                    part = mask, lits
+                    part = mask, care, bits
                 parts.append(part)
             else:
                 self.pos = pos
@@ -260,26 +332,22 @@ class _Parser:
         self.pos = pos
         if len(parts) == 1:
             return parts[0]
-        if not cubes:
-            return self.node(Prod(tuple(map(self.cube, parts))))
-        mask, lits = self.full, {}
-        for m, ls in parts:
-            mask &= m
-            for v, bit in ls:
-                if lits.setdefault(v, bit) != bit:
-                    mask = 0
-        return mask, tuple(lits.items())
+        if cubes:
+            return self.product(parts)
+        others = [p for p in parts if type(p) is not tuple]
+        if len(others) < len(parts):
+            others.insert(0, self.cube(self.product(p for p in parts if type(p) is tuple)))
+        return self.node(Prod(tuple(others)))
 
-    def factor(self) -> Expr | tuple[int, tuple]:
+    def factor(self) -> Expr | tuple[int, int, int]:
         e = self.primary()
         while self.kinds[self.pos] == "'":
             pos = self.starts[self.pos]
             self.pos += 1
             if type(e) is tuple and not e[1]:
-                e = e[0] ^ self.full, ()
-            elif type(e) is tuple and len(e[1]) == 1 and e[0] == self.full:
-                ((v, bit),) = e[1]
-                e = e[0], ((v, 1 - bit),)
+                e = e[0] ^ self.full, 0, 0
+            elif type(e) is tuple and e[0] == self.full and not e[1] & (e[1] - 1):
+                e = e[0], e[1], e[2] ^ e[1]
             else:
                 nots = self.nots.get(id(e), 0) + 1
                 if nots > MAX_NESTING:
@@ -289,15 +357,15 @@ class _Parser:
                 self.nots[id(e)] = nots
         return e
 
-    def primary(self) -> Expr | tuple[int, tuple]:
+    def primary(self) -> Expr | tuple[int, int, int]:
         """A constant or a group; ``term`` reads names itself."""
         i = self.pos
         kind, start = self.kinds[i], self.starts[i]
         self.pos = i + 1
         if kind == "0":
-            return 0, ()
+            return 0, 0, 0
         if kind == "1":
-            return self.full, ()
+            return self.full, 0, 0
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise ExpressionSyntaxError(
@@ -312,13 +380,13 @@ class _Parser:
         raise ExpressionSyntaxError(
             f"unexpected {self.texts[i] or 'end of input'!r}", start)
 
-    def resolve_name(self, name: str, pos: int) -> tuple[int, tuple]:
+    def resolve_name(self, name: str, pos: int) -> tuple[int, int, int]:
         # A NAME token is a letter and digits, so an ASCII name longer than
         # one character is a letter and an ASCII number.
         numbered = len(name) > 1 and name.isascii()
         if self.var_names is not None:
             if name in self.var_names:
-                return self.full, ((self.var_names[name], 1),)
+                return self.literal(self.var_names[name])
             if name[0] == "a" and numbered:
                 return self.resolve_atom(name, pos)
             raise ExpressionSyntaxError(f"unknown variable {name!r}", pos)
@@ -327,20 +395,23 @@ class _Parser:
             if not 1 <= number <= self.n:
                 raise ExpressionSyntaxError(
                     f"variable {name!r} outside x1..x{self.n}", pos)
-            return self.full, ((number - 1, 1),)
+            return self.literal(number - 1)
         if name[0] == "a" and numbered:
             return self.resolve_atom(name, pos)
         if name in _LETTER_ALIASES and _LETTER_ALIASES[name] <= self.n:
-            return self.full, ((_LETTER_ALIASES[name] - 1, 1),)
+            return self.literal(_LETTER_ALIASES[name] - 1)
         raise ExpressionSyntaxError(f"unknown symbol {name!r}", pos)
 
-    def resolve_atom(self, name: str, pos: int) -> tuple[int, tuple]:
+    def literal(self, v: int) -> tuple[int, int, int]:
+        return self.full, 1 << v, 1 << v
+
+    def resolve_atom(self, name: str, pos: int) -> tuple[int, int, int]:
         atom = int(name[1:])
         if atom >= self.algebra.atom_count:
             raise ExpressionSyntaxError(
                 f"unknown atom {name!r} (algebra has "
                 f"{self.algebra.atom_count} atoms)", pos)
-        return 1 << atom, ()
+        return 1 << atom, 0, 0
 
 
 def parse_expr(text: str, n: int, algebra: Algebra,
@@ -360,17 +431,32 @@ def parse_expr(text: str, n: int, algebra: Algebra,
     return _Parser(text, n, algebra, names).parse()
 
 
-def cnf_expr(clauses, algebra: Algebra) -> Sum:
-    """f of a DIMACS clause list, 1 where some clause is false: one
-    ``Cube(1, lits)`` per clause, on the points that falsify it.  A clause
-    holding a variable in both polarities is always true and has no cube."""
-    one, parts = algebra.one, []
-    for clause in clauses:
-        lits = {abs(lit) - 1: int(lit < 0) for lit in clause}
-        # Only a clause that repeats a variable can hold both polarities.
-        if len(lits) == len(clause) or len(lits) == len(set(clause)):
-            parts.append(Cube(one, tuple(lits.items())))
-    return Sum(tuple(parts))
+def cnf_expr(clauses, algebra: Algebra) -> Cubes:
+    """``clause_cubes`` of a DIMACS clause list."""
+    literals = [lit for clause in clauses for lit in (*clause, 0)]
+    return clause_cubes(np.array(literals, dtype=np.int64), algebra)
+
+
+def clause_cubes(literals: np.ndarray, algebra: Algebra) -> Cubes:
+    """f of DIMACS clauses, 1 where some clause is false: one row per
+    clause, on the points that falsify it.  ``literals`` is an integer
+    array of the clauses in order, each ended by a 0 but perhaps the last.
+    A clause holding a variable in both polarities is always true and has
+    no row.  The masks are found for all clauses at once: each literal's
+    variable bit, ORed over each clause's span, once per polarity."""
+    if not len(literals):
+        return Cubes(algebra, (), (), ())
+    starts = np.flatnonzero(literals[:-1] == 0) + 1
+    starts = np.concatenate(([0], starts))
+    size = np.abs(literals)
+    wide = literals.dtype == object or size.max() > 63  # Python ints past 63 variables
+    one = 1 if wide else np.uint64(1)
+    bit = np.left_shift(one, size.astype(object if wide else np.uint64)) >> one
+    pos = np.bitwise_or.reduceat(np.where(literals > 0, bit, 0), starts)
+    neg = np.bitwise_or.reduceat(np.where(literals < 0, bit, 0), starts)
+    keep = (pos & neg) == 0
+    care, bits = (pos | neg)[keep].tolist(), neg[keep].tolist()
+    return Cubes(algebra, tuple(care), tuple(bits), (algebra.full_mask,) * len(care))
 
 
 def parse_element(text: str, algebra: Algebra) -> AlgebraElement:

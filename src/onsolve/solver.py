@@ -33,7 +33,7 @@ from .orthonormal import (
     ladder_set,
     minterm_set,
 )
-from .parsing import Cube, Expr, Not, Sum, cnf_expr
+from .parsing import Cubes, Expr, Sum, cnf_expr
 
 Assignment = dict[int, AlgebraElement]
 """Solution map: 0-based variable index -> element."""
@@ -302,17 +302,13 @@ class EliminationStage:
     phi: OrthonormalSet               # ON set over the block's local variables
     table: np.ndarray                 # read-only, row i = coefficient of phi_i
     eliminant: BoolFunction           # product of the coefficients
+    zero_coefficients: int            # coefficients that vanish identically
 
     @property
     def coeffs(self) -> tuple[BoolFunction, ...]:
         """The expansion coefficients over `remaining`, one per table row."""
         return tuple(BoolFunction(self.eliminant.algebra, len(self.remaining), row)
                      for row in self.table)
-
-    @property
-    def zero_coefficients(self) -> int:
-        """How many coefficients vanish identically."""
-        return int(np.count_nonzero(~self.table.any(axis=1)))
 
     def constants_at(self, values: dict[int, int]) -> np.ndarray:
         """The coefficients at the point where each remaining variable i
@@ -444,12 +440,37 @@ def _rows(slab: np.ndarray, free: int, rest: int) -> np.ndarray:
     return (groups & np.uint64((1 << width) - 1)).reshape(-1, 1)[:1 << free]
 
 
-def _variables(expr: Expr) -> set[int]:
-    """The variables of the tree's literals."""
-    if isinstance(expr, Cube):
-        return {v for v, _ in expr.lits}
-    parts = (expr.arg,) if isinstance(expr, Not) else expr.parts
-    return set().union(*map(_variables, parts))
+def _zero_rows(rows: np.ndarray) -> int:
+    """How many rows of a 2-D array are 0 throughout.  Bool rows are read as
+    ints of up to eight entries, and rows of up to 16 columns are ORed
+    column by column: numpy's ``any`` along short rows costs a call per
+    row."""
+    if rows.dtype == bool:
+        rows = rows.view(f"u{min(8, rows.shape[1])}")
+    if rows.shape[1] > 16:
+        return int(np.count_nonzero(~rows.any(axis=1)))
+    out = rows[:, 0]
+    for j in range(1, rows.shape[1]):
+        out = out | rows[:, j]
+    return len(out) - int(np.count_nonzero(out))
+
+
+def _zero_slab_rows(slab: np.ndarray, free: int, rest: int) -> int:
+    """How many of the 2^free rows of 2^rest entries in a slab are 0
+    throughout, the slab read as ``_rows`` reads it.  Rows narrower than a
+    word are lane groups: groups of eight lanes or more are read as ints of
+    their own width, and narrower ones are ORed onto their first lane,
+    whose set bits are counted."""
+    if len(slab) >= 1 << free:
+        return _zero_rows(slab.reshape(1 << free, -1))
+    lanes = slab.astype("<u8", copy=False)
+    if rest >= 3:
+        groups = lanes.view(f"<u{1 << (rest - 3)}")[:1 << free]
+        return len(groups) - int(np.count_nonzero(groups))
+    for k in range(rest):
+        lanes = lanes | lanes >> np.uint64(1 << k)
+    firsts = sum(1 << i for i in range(0, min(64, 1 << (free + rest)), 1 << rest))
+    return (1 << free) - int(np.bitwise_count(lanes & np.uint64(firsts)).sum())
 
 
 def cnf_function(n: int, clauses, algebra: Algebra) -> BoolFunction:
@@ -479,9 +500,15 @@ def _stage(source: Expr | BoolFunction, variables, block: tuple[int, ...],
     one word below six variables.  The AND runs on the words at every row
     width: rows of whole words are ANDed column by column, and for narrower
     rows all the words are ANDed into one, whose 64 / 2^rest lane groups
-    are then folded onto the first.  The zero-row count and the class check
-    read the rows as words (``_rows``), each narrow row in a word of its
-    own.  Only the eliminant and the kept table are unpacked.
+    are then folded onto the first.  The class check reads the rows as
+    words (``_rows``), each narrow row in a word of its own.  The stage's
+    zero coefficients are counted here, once: on the slab's rows under the
+    block minterms (``_zero_slab_rows``, on the words), and on the folded
+    table otherwise.  Only the eliminant and the kept table are unpacked.
+
+    A tree's parts are split once per stage by the prefix: the rows of a
+    ``Cubes`` part by ``care & prefix_mask``, and any other part by its
+    ``support()``.
     """
     algebra = phi.algebra
     remaining = tuple(i for i in variables if i not in block)
@@ -499,8 +526,14 @@ def _stage(source: Expr | BoolFunction, variables, block: tuple[int, ...],
         common, live = np.zeros(1 << len(written), dtype=_dtype_for(space)), source
         if prefix:
             fixed, live = [], []
+            prefix_mask = sum(1 << v for v in prefix)
             for part in source.parts if isinstance(source, Sum) else (source,):
-                (fixed if _variables(part).isdisjoint(prefix) else live).append(part)
+                if isinstance(part, Cubes):
+                    meets = [bool(care & prefix_mask) for care in part.care]
+                    fixed.append(part.select([not m for m in meets]))
+                    live.append(part.select(meets))
+                else:
+                    (live if part.support() & prefix_mask else fixed).append(part)
             _write_expr(common, written, Sum(tuple(fixed)), lanes, space)
             live = Sum(tuple(live))
     else:
@@ -525,8 +558,8 @@ def _stage(source: Expr | BoolFunction, variables, block: tuple[int, ...],
             eliminant = product
         if table is not None:
             _fold_rows(table, _rows(slab, free, rest), p << free, phi)
-        elif prefix:
-            zero += int(np.count_nonzero(~_rows(slab, free, rest).any(axis=1)))
+        else:
+            zero += _zero_slab_rows(slab, free, rest)
     packed = space is WORDS
     if packed:
         # Fold the word's lane groups of 2^rest onto the first: their AND.
@@ -539,10 +572,12 @@ def _stage(source: Expr | BoolFunction, variables, block: tuple[int, ...],
     if table is None:
         table = _unpack(slab)[:1 << len(variables)] if packed else slab
         table = table.reshape(1 << len(block), -1)
-    elif packed:
-        table = _unpack(table).reshape(len(table), -1)[:, :1 << rest]
+    else:
+        zero = _zero_rows(table)
+        if packed:
+            table = _unpack(table).reshape(len(table), -1)[:, :1 << rest]
     table.flags.writeable = False
-    return EliminationStage(block, remaining, phi, table, g)
+    return EliminationStage(block, remaining, phi, table, g, zero)
 
 
 def eliminate_expr(expr: Expr, n: int, algebra: Algebra, split,

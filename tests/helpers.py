@@ -27,6 +27,7 @@ from onsolve import (
     minterm_set,
 )
 from onsolve.function import point_bits
+from onsolve.parsing import Cubes
 
 B0 = Algebra(1)
 B2 = Algebra(2)
@@ -34,6 +35,20 @@ B3 = Algebra(3)
 # Atom counts 0, 1, 3 and 64 cover the bool and uint64 tables, up to the
 # top atom a63 in the top bit of a uint64.
 EXPR_ALGEBRAS = (Algebra(0), B0, B3, Algebra(64))
+
+
+def cube(value: AlgebraElement, lits=()) -> Cubes:
+    """The one-row ``Cubes`` node of ``value`` times the literals, each a
+    (variable, bit) pair, bit 1 for x and 0 for x'."""
+    care = sum(1 << v for v, _ in lits)
+    bits = sum(bit << v for v, bit in lits)
+    return Cubes(value.algebra, (care,), (bits,), (value.mask,))
+
+
+def rows(*nodes: Cubes) -> Cubes:
+    """One node that holds the rows of ``nodes``, in order."""
+    return Cubes(nodes[0].algebra, *(sum((getattr(node, f) for node in nodes), ())
+                                     for f in ("care", "bits", "value")))
 
 
 def rand_element(algebra: Algebra, rng: random.Random) -> AlgebraElement:

@@ -837,6 +837,102 @@ def test_parse_dimacs_reads_clauses_across_lines_and_checks_literals_last():
         assert str(err.value) == message, text
 
 
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p cnf 2 3\n1 0\n", "line 1: header declares 3 clauses, read 1"),
+    ("c\np cnf 2 1\n1 0\n-2 0\n", "line 2: header declares 1 clauses, read 2"),
+    # An empty clause, a tautology and a last clause without its 0 count.
+    ("p cnf 2 2\n0\n1 -1 0\n2\n", "line 1: header declares 2 clauses, read 3"),
+    ("1 0\n2\np cnf 2 0\n", "line 3: header declares 0 clauses, read 2"),
+    # The other checks come first.
+    ("p cnf 2 5\n3 0\n", "literal 3 outside 1..2"),
+    ("p cnf 2 5\n1 x 0\n", "line 2: expected an integer, got 'x'"),
+    ("1 0\n", "missing DIMACS problem line"),
+])
+def test_dimacs_clause_count_checked(capsys, tmp_path, text, message):
+    problem = tmp_path / "count.cnf"
+    problem.write_text(text)
+    with pytest.raises(ProblemFormatError) as err:
+        parse_dimacs(text)
+    assert str(err.value) == message
+    assert run(capsys, "solve", str(problem)) == (2, "", f"error: {message}\n")
+
+
+def test_dimacs_clause_count_agrees():
+    # Every clause read counts: the empty clause, the tautology and the last
+    # clause without its 0.
+    assert parse_dimacs("p cnf 2 4\n0\n1 -1 0\n1 0 2\n") == (2, [[], [1, -1], [1], [2]])
+    assert parse_dimacs("c\np cnf 0 0\n") == (0, [])
+
+def messy_dimacs(rng):
+    """A DIMACS text as files come: comment and "%" lines, clauses across
+    lines and several on one line, leading blanks and CRLF endings, the
+    header before, among or after the clauses, empty clauses, repeated
+    literals, tautologies and a last clause without its 0.  The header's
+    clause count is always the number of clauses in the text.  Now and then
+    one fault: a bad token, an ASCII-less digit, a "_", a literal outside
+    1..n, a "-0" for a 0, or a bad, repeated or missing header."""
+    n = rng.randint(0, 8)
+    clauses = [[rng.choice((v, -v)) for v in rng.choices(range(1, n + 1), k=width)]
+               for width in (rng.choice((0, 1, 2, 3, 3, 4)) if n else 0
+                             for _ in range(rng.randint(0, 12)))]
+    tokens = [str(lit) for clause in clauses for lit in (*clause, 0)]
+    if clauses and clauses[-1] and rng.random() < 0.2:
+        tokens.pop()
+    fault = rng.choice(["none"] * 6 + ["token", "digit", "underscore", "range",
+                                       "minus-zero", "header", "repeat", "missing"])
+    if tokens and fault in ("token", "digit", "underscore", "range", "minus-zero"):
+        i = rng.randrange(len(tokens))
+        if fault == "minus-zero":
+            i = max((j for j, tok in enumerate(tokens) if tok == "0"), default=i)
+        tokens[i] = {"token": "x", "digit": "\u0663", "underscore": "1_0",
+                     "range": str(rng.choice((n + 1, -n - 1, 10 ** 20))),
+                     "minus-zero": "-0" if tokens[i] == "0" else tokens[i]}[fault]
+    lines, line = [], []
+    for tok in tokens:
+        line.append(tok)
+        if rng.random() < 0.3:
+            lines.append(" " * rng.randint(0, 2) + rng.choice((" ", "  ", "\t")).join(line))
+            line = []
+    if line:
+        lines.append(" ".join(line))
+    for _ in range(rng.randint(0, 3)):
+        comment = rng.choice(("c", "c comment", "%", "c x_1 \u0663", "  c indented", ""))
+        lines.insert(rng.randint(0, len(lines)), comment)
+    header = f"p cnf {n} {len(clauses)}"
+    if fault == "header":
+        header = rng.choice((f"p cnf {n}", f"p cnf x {len(clauses)}", f"p dnf {n} 1",
+                             f"p cnf {n} -1"))
+    if fault != "missing":
+        at = rng.choice((0, 0, 0, rng.randint(0, len(lines)), len(lines)))
+        lines.insert(at, header)
+        if fault == "repeat":
+            lines.insert(rng.randint(0, len(lines)), header)
+    return rng.choice(("\n", "\n", "\r\n")).join(lines) + rng.choice(("\n", ""))
+
+
+# Recorded before the one-pass DIMACS reader: the clauses, the table and the
+# `solve --trace` run of each seeded messy file, or its error.
+DIMACS_DIGEST = "201aecdc6b2ecda25950333c85b81127f92126185442e701d6fea0139e426a93"
+
+
+def test_seeded_dimacs_files_read_as_recorded(capsys, tmp_path):
+    rng = random.Random("dimacs")
+    digest = hashlib.sha256()
+    path = tmp_path / "messy.cnf"
+    for _ in range(600):
+        text = messy_dimacs(rng)
+        path.write_bytes(text.encode())
+        try:
+            outcome = repr(parse_dimacs(text)).encode()
+            outcome += parse_problem(path).function.table.tobytes()
+        except (ProblemFormatError, ValueError) as exc:
+            outcome = str(exc).encode()
+        outcome += repr(run(capsys, "solve", str(path), "--trace")).encode()
+        digest.update(text.encode() + b"\0" + outcome + b"\n")
+    assert digest.hexdigest() == DIMACS_DIGEST
+
 def test_cnf_function_semantics():
     # f = 0 exactly on assignments satisfying the clause set; a clause with
     # a variable in both polarities is always satisfied

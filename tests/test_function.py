@@ -18,17 +18,19 @@ from onsolve import (
     to_expression,
 )
 from onsolve.function import point_bits
-from onsolve.parsing import Cube, Not, Prod, Sum
+from onsolve.parsing import Not, Prod, Sum
 
 from helpers import (
     B0,
     B2,
     B3,
     EXPR_ALGEBRAS,
+    cube,
     all_points,
     minterm_sum_eval,
     rand_element,
     rand_function,
+    rows,
 )
 
 WORKED_F = "x + x*y'*z + x*y + x'*z' + x*y' + x*y*z"
@@ -68,18 +70,21 @@ def test_evaluate_at_01_points_returns_coeffs():
 
 @st.composite
 def _cubes(draw, n, algebra):
-    """A Cube leaf: a constant (often 0) times literals over distinct
-    variables."""
-    value = draw(st.one_of(st.just(0), st.integers(0, algebra.full_mask)))
-    variables = draw(st.lists(st.integers(0, n - 1), unique=True,
-                              max_size=3)) if n else []
-    return Cube(algebra.element(value),
-                tuple((v, draw(st.integers(0, 1))) for v in variables))
+    """A cube node of one to three rows, each a constant (often 0) times
+    literals over distinct variables."""
+    nodes = []
+    for _ in range(draw(st.integers(1, 3))):
+        value = draw(st.one_of(st.just(0), st.integers(0, algebra.full_mask)))
+        variables = draw(st.lists(st.integers(0, n - 1), unique=True,
+                                  max_size=3)) if n else []
+        nodes.append(cube(algebra.element(value),
+                         tuple((v, draw(st.integers(0, 1))) for v in variables)))
+    return rows(*nodes)
 
 
 @st.composite
 def _expressions(draw, n, algebra, depth=3):
-    """Trees of Cube leaves under sums, products and complements; the
+    """Trees of cube nodes under sums, products and complements; the
     parts of the top sum that are not cubes take the compositional path."""
     if not depth:
         return draw(_cubes(n, algebra))
@@ -111,13 +116,13 @@ def test_table_evaluation_matches_ast_interpreter(data):
 
 def test_expression_table_checks():
     def var(i):
-        return Cube(B2.one, ((i, 1),))
+        return cube(B2.one, ((i, 1),))
 
     with pytest.raises(AlgebraMismatchError):
-        BoolFunction.from_expr(Prod((var(0), Cube(B3.atom(1)))), 2, B2)
+        BoolFunction.from_expr(Prod((var(0), cube(B3.atom(1)))), 2, B2)
     with pytest.raises(AlgebraMismatchError):
         BoolFunction.from_expr(Sum((Not(Sum((var(0), var(1)))),
-                                    Cube(B3.one))), 2, B2)
+                                    cube(B3.one))), 2, B2)
     with pytest.raises(ValueError, match="variable index 2 outside n=2"):
         BoolFunction.from_expr(Sum((var(0), Not(var(2)))), 2, B2)
 

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from onsolve import (Algebra, ExpressionSyntaxError, complement, join, meet,
                      parse, parse_element)
 from onsolve.function import point_bits
-from onsolve.parsing import Cube, Not, Prod, Sum, parse_expr
+from onsolve.parsing import Cubes, Not, Prod, Sum, parse_expr
 
-from helpers import B0, B2, B3, EXPR_ALGEBRAS
+from helpers import B0, B2, B3, EXPR_ALGEBRAS, cube, rows
 
 
 def table_of(text, n, algebra=B0, **kw):
@@ -168,36 +168,46 @@ B00 = Algebra(0)
 
 
 def _lit(v, bit=1, algebra=B0):
-    return Cube(algebra.one, ((v, bit),))
+    return cube(algebra.one, ((v, bit),))
 
 
 # (text, n, algebra, tree): the exact tree parse_expr returns.  A product of
-# cubes folds to one Cube, its literals in the order first met; Sum, Prod and
-# Not remain only where a part leaves the cube shape.
+# cubes folds to one cube, and the cubes of a sum, with the rows of any group
+# of cubes in it, to one Cubes node, their rows in the order met; Sum, Prod
+# and Not remain only where a part leaves the cube shape, and then the cubes
+# make their first part.
 GOLDEN_TREES = [
-    ("a1", 0, B2, Cube(B2.element(0b10))),
-    ("a0+a1", 0, B2, Cube(B2.one)),
-    ("0 + a0", 0, B2, Cube(B2.element(0b01))),
+    ("a1", 0, B2, cube(B2.element(0b10))),
+    ("a0+a1", 0, B2, cube(B2.one)),
+    ("0 + a0", 0, B2, cube(B2.element(0b01))),
     ("x1''", 1, B0, _lit(0)),
     ("x1'''", 1, B0, _lit(0, 0)),
-    ("(a0+a1)'", 0, B2, Cube(B2.zero)),
-    ("a1'", 0, B2, Cube(B2.element(0b01))),
-    ("(a0+a2)*x1*x3'", 3, B3, Cube(B3.element(0b101), ((0, 1), (2, 0)))),
-    ("x3 (a1 x1) x3 a2", 3, B3, Cube(B3.zero, ((2, 1), (0, 1)))),
-    ("x1 x1'", 1, B0, Cube(B0.zero, ((0, 1),))),
-    ("x2 x1 x2'", 2, B0, Cube(B0.zero, ((1, 1), (0, 1)))),
-    ("x1 (x2+x3)", 3, B0, Prod((_lit(0), Sum((_lit(1), _lit(2)))))),
-    ("(x1+x2)'", 2, B0, Not(Sum((_lit(0), _lit(1))))),
-    ("(x1 x2)''", 2, B0, Not(Not(Cube(B0.one, ((0, 1), (1, 1)))))),
-    ("(a0 x1)'", 1, B2, Not(Cube(B2.element(0b01), ((0, 1),)))),
+    ("(a0+a1)'", 0, B2, cube(B2.zero)),
+    ("a1'", 0, B2, cube(B2.element(0b01))),
+    ("(a0+a2)*x1*x3'", 3, B3, cube(B3.element(0b101), ((0, 1), (2, 0)))),
+    ("x3 (a1 x1) x3 a2", 3, B3, cube(B3.zero, ((2, 1), (0, 1)))),
+    ("x1 x1'", 1, B0, cube(B0.zero, ((0, 1),))),
+    ("x2 x1 x2'", 2, B0, cube(B0.zero, ((1, 1), (0, 1)))),
+    ("x1 (x2+x3)", 3, B0, Prod((_lit(0), rows(_lit(1), _lit(2))))),
+    ("(x1+x2)'", 2, B0, Not(rows(_lit(0), _lit(1)))),
+    ("(x1 x2)''", 2, B0, Not(Not(cube(B0.one, ((0, 1), (1, 1)))))),
+    ("(a0 x1)'", 1, B2, Not(cube(B2.element(0b01), ((0, 1),)))),
     ("a1 x1 x2' + x3 (x1+x2) + a0", 3, B2,
-     Sum((Cube(B2.element(0b10), ((0, 1), (1, 0))),
-          Prod((_lit(2, 1, B2), Sum((_lit(0, 1, B2), _lit(1, 1, B2))))),
-          Cube(B2.element(0b01))))),
+     Sum((rows(cube(B2.element(0b10), ((0, 1), (1, 0))), cube(B2.element(0b01))),
+          Prod((_lit(2, 1, B2), rows(_lit(0, 1, B2), _lit(1, 1, B2))))))),
     ("((x1))", 1, B0, _lit(0)),
-    ("1", 1, B00, Cube(B00.one)),
-    ("x1' + 0", 1, B00, Sum((_lit(0, 0, B00), Cube(B00.zero)))),
-    ("x1 x2", 2, B00, Cube(B00.one, ((0, 1), (1, 1)))),
+    ("1", 1, B00, cube(B00.one)),
+    ("x1' + 0", 1, B00, rows(_lit(0, 0, B00), cube(B00.zero))),
+    ("x1 x2", 2, B00, cube(B00.one, ((0, 1), (1, 1)))),
+    ("(x2)'", 2, B0, _lit(1, 0)),
+    ("(x2)''", 2, B0, _lit(1)),
+    ("x1 + (x2 + x3') + a0 x3", 3, B2,
+     rows(_lit(0, 1, B2), _lit(1, 1, B2), _lit(2, 0, B2),
+          cube(B2.element(0b01), ((2, 1),)))),
+    ("x1 + (x2 + x3)' + x2", 3, B0,
+     Sum((rows(_lit(0), _lit(1)), Not(rows(_lit(1), _lit(2)))))),
+    ("x1 x2' (x1 + x3)' a1 x2", 3, B2,
+     Prod((cube(B2.zero, ((0, 1), (1, 1))), Not(rows(_lit(0, 1, B2), _lit(2, 1, B2)))))),
 ]
 
 
@@ -206,9 +216,9 @@ def test_parse_expr_builds_the_golden_tree(text, n, algebra, tree):
     assert parse_expr(text, n, algebra) == tree
 
 
-def test_cube_rejects_a_repeated_variable():
-    with pytest.raises(ValueError, match="repeat a variable"):
-        Cube(B0.one, ((0, 1), (0, 0)))
+def test_cubes_rows_give_care_bits_and_value_alike():
+    with pytest.raises(ValueError, match="care, bits and value alike"):
+        Cubes(B0, (1, 2), (1,), (1, 1))
 
 
 # Declared names for the text property: a letter and digits, none starting
@@ -371,9 +381,10 @@ def _seeded_text(rng, k, names, strays):
     return text
 
 
-# Recorded with the tokenizer and parser that the one-pass reader replaced,
-# so it pins every tree, message and position that they gave.
-SEEDED_DIGEST = "864de9657630a8e3dcc4a7fc6ca2e815a059b3a1b5989eab3a665488035b67d1"
+# Recorded when cube terms became rows of one Cubes node.  It pins every
+# tree; the messages and positions are the earlier parser's, and the tables
+# are pinned apart by SEEDED_TABLE_DIGEST, recorded before the change.
+SEEDED_DIGEST = "fa7b6763c54ffa8fe63b7e58d29e60fad1021ef513e44ec0a23431d0cede3c8d"
 
 
 def test_seeded_texts_parse_to_the_recorded_trees_and_errors():
@@ -390,9 +401,28 @@ def test_seeded_texts_parse_to_the_recorded_trees_and_errors():
     assert digest.hexdigest() == SEEDED_DIGEST
 
 
+
+# Recorded before the parser carried cubes as integer masks, so it pins the
+# table that every seeded text writes, and every error, as they were.
+SEEDED_TABLE_DIGEST = "a1ad9fdbe72a8f072a687f0727779413e5c62d34b798bb01676c4f4ac6100bf2"
+
+
+def test_seeded_texts_write_the_recorded_tables():
+    rng = random.Random(2026)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        n, algebra, declared, names, strays = rng.choice(SEEDED_SCOPES)
+        text = _seeded_text(rng, algebra.atom_count, names, strays)
+        try:
+            outcome = parse(text, n, algebra, declared).table.tobytes()
+        except ExpressionSyntaxError as exc:
+            outcome = str(exc).encode()
+        digest.update(text.encode() + b"\0" + outcome + b"\n")
+    assert digest.hexdigest() == SEEDED_TABLE_DIGEST
+
 def test_resolved_names_do_not_carry_over_between_calls():
-    assert parse_expr("p*q'", 2, B0, ["p", "q"]) == Cube(B0.one, ((0, 1), (1, 0)))
-    assert parse_expr("p*q'", 2, B0, ["q", "p"]) == Cube(B0.one, ((1, 1), (0, 0)))
-    assert parse_expr("a1 x2", 2, B2) == Cube(B2.element(0b10), ((1, 1),))
+    assert parse_expr("p*q'", 2, B0, ["p", "q"]) == cube(B0.one, ((0, 1), (1, 0)))
+    assert parse_expr("p*q'", 2, B0, ["q", "p"]) == cube(B0.one, ((1, 1), (0, 0)))
+    assert parse_expr("a1 x2", 2, B2) == cube(B2.element(0b10), ((1, 1),))
     with pytest.raises(ExpressionSyntaxError, match="unknown atom 'a1'"):
         parse_expr("a1 x2", 2, B0)

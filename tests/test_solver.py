@@ -43,7 +43,7 @@ from onsolve import (
 from onsolve import solver
 from onsolve.algebra import Algebra, join_all, meet, meet_all
 from onsolve.function import point_bits
-from onsolve.parsing import Cube, Not, Prod, Sum, cnf_expr
+from onsolve.parsing import Cubes, Not, Prod, Sum, cnf_expr
 from onsolve.solver import is_on_system
 
 from helpers import (
@@ -51,6 +51,7 @@ from helpers import (
     B2,
     B3,
     OutsideClassError,
+    cube,
     dense_stages,
     is_coon_tuple,
     is_on_tuple,
@@ -619,14 +620,16 @@ def _messy_cubes(n, algebra, rng):
             return algebra.zero
         return algebra.one if pick < 0.5 else rand_element(algebra, rng)
 
-    cubes = [Cube(value(), c.lits) for c in cnf_expr(_messy_cnf(n, rng), algebra).parts]
+    node = cnf_expr(_messy_cnf(n, rng), algebra)
+    cubes = [Cubes(algebra, (care,), (bits,), (value().mask,))
+             for care, bits in zip(node.care, node.bits)]
     if rng.random() < 0.2:
-        cubes.insert(rng.randint(0, len(cubes)), Cube(value()))
+        cubes.insert(rng.randint(0, len(cubes)), cube(value()))
     return cubes
 
 
 def _plain_cnf(n, algebra, rng):
-    return list(cnf_expr(_messy_cnf(n, rng), algebra).parts)
+    return [cnf_expr(_messy_cnf(n, rng), algebra)]
 
 
 def _subtree(n, algebra, rng, depth):
@@ -635,7 +638,7 @@ def _subtree(n, algebra, rng, depth):
     if kind == "cube":
         lits = tuple((v, rng.getrandbits(1))
                      for v in rng.sample(range(n), rng.randint(1, min(3, n))))
-        return Cube(rand_element(algebra, rng), lits)
+        return cube(rand_element(algebra, rng), lits)
     parts = tuple(_subtree(n, algebra, rng, depth - 1)
                   for _ in range(rng.randint(1, 3)))
     if kind == "not":
@@ -651,9 +654,9 @@ def _messy_trees(n, algebra, rng):
         parts.insert(rng.randint(0, len(parts)),
                      Prod((_subtree(n, algebra, rng, 2), _subtree(n, algebra, rng, 2))))
     v = rng.randrange(n)
-    parts.append(Prod((Cube(algebra.one, ((v, 1),)),
+    parts.append(Prod((cube(algebra.one, ((v, 1),)),
                        Not(Sum((_subtree(n, algebra, rng, 1),
-                                Cube(algebra.one, ((v, 1),))))))))
+                                cube(algebra.one, ((v, 1),))))))))
     return parts
 
 
@@ -710,7 +713,7 @@ def test_eliminate_expr_matches_dense_stages(monkeypatch, slab):
         consistent = 0
         for case in range(cases):
             n = rng.randint(1, largest) if case else 0
-            expr = Sum(tuple(make(n, algebra, rng))) if n else Cube(algebra.zero)
+            expr = Sum(tuple(make(n, algebra, rng))) if n else cube(algebra.zero)
             split = _random_split(n, rng)
             f = BoolFunction.from_expr(expr, n, algebra)
             # The oracle's verdict, where B^n is small enough to enumerate.
@@ -770,12 +773,12 @@ def test_slab_loop_writes_parts_without_a_prefix_variable_once(monkeypatch):
     n, split = 10, consecutive_split(10, 4)
     for algebra in (B0, B2):
         def x(v, bit=1):
-            return Cube(algebra.one, ((v, bit),))
+            return cube(algebra.one, ((v, bit),))
 
-        product = Prod((x(4), Not(Sum((x(5, 0), Cube(algebra.one, ((6, 1), (9, 0))))))))
+        product = Prod((x(4), Not(Sum((x(5, 0), cube(algebra.one, ((6, 1), (9, 0))))))))
         negated = Not(Sum((x(7), x(8), x(9, 0))))
         live = Prod((x(0), x(5)))
-        expr = Sum((Cube(algebra.one, ((1, 1), (6, 0))), product, negated, live))
+        expr = Sum((cube(algebra.one, ((1, 1), (6, 0))), product, negated, live))
         calls.clear()
         trace = eliminate_expr(expr, n, algebra, split)
         assert isinstance(trace.stages[0], CubeStage)
@@ -800,20 +803,20 @@ def _lane_expr(n, rng):
     value-0 cubes, and products with complements among them."""
     low, high = list(range(max(0, n - 6), n)), list(range(max(0, n - 6)))
 
-    def cube(kind):
+    def row(kind):
         if not high:
             kind = "low"
         pool = {"low": low, "high": high, "mixed": low + high}[kind]
         lits = set(rng.sample(pool, min(len(pool), rng.randint(2, 3))))
         if kind == "mixed":
             lits |= {rng.choice(low), rng.choice(high)}
-        return Cube(B0.zero if rng.random() < 0.15 else B0.one,
+        return cube(B0.zero if rng.random() < 0.15 else B0.one,
                     tuple((v, rng.getrandbits(1)) for v in sorted(lits)))
 
-    parts = [cube(rng.choice(("low", "high", "mixed")))
+    parts = [row(rng.choice(("low", "high", "mixed")))
              for _ in range(rng.randint(2, n // 2 + 2))]
-    parts.append(Prod((cube("mixed"), Not(Sum((cube("low"), cube("high")))))))
-    parts.append(Not(Sum((Not(cube("high")), Not(cube("low"))))))
+    parts.append(Prod((row("mixed"), Not(Sum((row("low"), row("high")))))))
+    parts.append(Not(Sum((Not(row("high")), Not(row("low"))))))
     return Sum(tuple(parts))
 
 
@@ -867,7 +870,7 @@ def _ladder_class_expr(block, others, rng):
         lits = [(v, 1) for v in block[:i]] + [(v, 0) for v in block[i:i + 1]]
         lits += [(v, rng.getrandbits(1))
                  for v in rng.sample(others, rng.randint(0, min(3, len(others))))]
-        parts.append(Cube(B0.one, tuple(lits)))
+        parts.append(cube(B0.one, tuple(lits)))
     return Sum(tuple(parts))
 
 
@@ -887,8 +890,8 @@ def test_narrow_rows_fold_on_words(monkeypatch, slab):
         block, others = variables[:n - rest], variables[n - rest:]
         size = 1 if rng.random() < 0.5 else rng.randint(1, max(rest, 1))
         split = [block] * bool(n) + [others[s:s + size] for s in range(0, rest, size)]
-        exprs = (Sum(tuple(_plain_cnf(n, B0, rng))) if n else Cube(B0.one),
-                 _ladder_class_expr(block, others, rng) if n else Cube(B0.zero))
+        exprs = (Sum(tuple(_plain_cnf(n, B0, rng))) if n else cube(B0.one),
+                 _ladder_class_expr(block, others, rng) if n else cube(B0.zero))
         for expr in exprs:
             f = BoolFunction.from_expr(expr, n, B0)
             for policy in ("minterm", "ladder"):
@@ -969,20 +972,20 @@ def test_ladder_slab_loop_rejects_out_of_class(clause):
 
 
 def test_eliminate_expr_validation():
-    x1 = Cube(B0.one, ((0, 1),))
+    x1 = cube(B0.one, ((0, 1),))
     with pytest.raises(ValueError):
         eliminate_expr(x1, 3, B0, [[0, 1]])
     with pytest.raises(ValueError, match="variable index 1 outside n=1"):
-        eliminate_expr(Cube(B0.one, ((1, 1),)), 1, B0, [[0]])
+        eliminate_expr(cube(B0.one, ((1, 1),)), 1, B0, [[0]])
     with pytest.raises(ValueError, match="variable index 2 outside n=2"):
-        eliminate_expr(Sum((x1, Not(Prod((x1, Cube(B0.one, ((2, 0),))))))), 2, B0,
+        eliminate_expr(Sum((x1, Not(Prod((x1, cube(B0.one, ((2, 0),))))))), 2, B0,
                        [[0], [1]])
     with pytest.raises(AlgebraMismatchError):
         eliminate_expr(x1, 1, B2, [[0]])
     # n = 0: no stages, and the final constant is the expression's value.
     for policy in ("minterm", "ladder"):
         for value in (B0.zero, B0.one):
-            trace = eliminate_expr(Sum((Cube(value),)), 0, B0, [], policy)
+            trace = eliminate_expr(Sum((cube(value),)), 0, B0, [], policy)
             assert (trace.stages, trace.final, trace.policy) == ((), value, policy)
 
 
