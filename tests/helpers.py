@@ -178,6 +178,11 @@ def is_coon_tuple(items, algebra: Algebra) -> bool:
 # ---------------------------------------------------------------------------
 # CNF utilities
 
+# Clauses over x1, x5, .., x21 only: each block of four depends on its first
+# variable alone, so the function is in every ladder stage's class.
+LADDER_CLAUSES = [[1, -5, 9], [-1, 13, -17], [5, -13, 21], [-9, 17, -21],
+                  [1, 9, 13], [-5, -9, -13]]
+
 
 def random_cnf(n: int, m: int, rng: random.Random,
                width: int = 3) -> list[list[int]]:

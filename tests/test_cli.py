@@ -16,7 +16,7 @@ from onsolve.cli import (
     parse_problem,
 )
 
-from helpers import B0
+from helpers import B0, LADDER_CLAUSES, random_cnf
 
 INSTANCES = Path(__file__).parent.parent / "instances"
 
@@ -233,6 +233,49 @@ def test_solve_trace_grid_digest(capsys):
                 err = err.replace(str(INSTANCES), "instances")
                 digest.update(repr((path.name, flags, code, out, err)).encode())
     assert digest.hexdigest() == TRACE_GRID_DIGEST
+
+
+def _multi_slab_files():
+    """(name, text) of seeded threshold 3-CNF at 21 to 24 variables, two
+    at each n, a problem file over four atoms at 21 variables, and the
+    ladder-class clauses at 24 variables."""
+    rng = random.Random("multi-slab")
+    files = []
+    for n in range(21, 25):
+        for copy in range(2):
+            clauses = random_cnf(n, round(4.26 * n), rng)
+            body = "".join(" ".join(map(str, c)) + " 0\n" for c in clauses)
+            files.append((f"cnf-{n}-{copy}.cnf", f"p cnf {n} {len(clauses)}\n{body}"))
+    terms = []
+    for _ in range(60):
+        lits = rng.sample(range(1, 22), 3)
+        terms.append(f"a{rng.randrange(2)}" + "".join(
+            f"x{v}" + "'" * rng.getrandbits(1) for v in lits))
+    files.append(("general-21.txt", f"algebra 2\nvars 21\nequation {' + '.join(terms)}\n"))
+    body = "".join(" ".join(map(str, c)) + " 0\n" for c in LADDER_CLAUSES)
+    files.append(("ladder24.cnf", f"p cnf 24 {len(LADDER_CLAUSES)}\n{body}"))
+    return files
+
+
+# SHA-256 over (file name, flags, exit code, stdout, stderr) of `solve --trace`
+# on `_multi_slab_files` under both policies at block sizes 1 to 4: stage 1
+# runs over 2 to 16 slabs of the block's leading variables.  Recorded before
+# stage 1 wrote its slabs as a prefix tree.
+MULTI_SLAB_DIGEST = "30fdfb1420f3efcfe0998514b7ecc3773fcefa397377dbbadb13b44a124f9dfa"
+
+
+def test_solve_trace_multi_slab_digest(capsys, tmp_path):
+    digest = hashlib.sha256()
+    for name, text in _multi_slab_files():
+        path = tmp_path / name
+        path.write_text(text)
+        for policy in ("minterm", "ladder"):
+            for size in ("1", "2", "3", "4"):
+                flags = ("--trace", "--phi-policy", policy, "--block-size", size)
+                code, out, err = run(capsys, "solve", str(path), *flags)
+                err = err.replace(str(tmp_path), "tmp")
+                digest.update(repr((name, flags, code, out, err)).encode())
+    assert digest.hexdigest() == MULTI_SLAB_DIGEST
 
 
 def _forbid_tables(monkeypatch):

@@ -50,6 +50,7 @@ from helpers import (
     B0,
     B2,
     B3,
+    LADDER_CLAUSES,
     OutsideClassError,
     cube,
     dense_stages,
@@ -930,12 +931,6 @@ def test_stage_table_rows_follow_the_member_order():
         rows = f.table.reshape(4, 2)
         assert np.array_equal(stage.table, rows[order])
         assert np.array_equal(stage.eliminant.table, np.bitwise_and.reduce(rows, axis=0))
-
-
-# Clauses over x1, x5, .., x21 only: each block of four depends on its first
-# variable alone, so the function is in every ladder stage's class.
-LADDER_CLAUSES = [[1, -5, 9], [-1, 13, -17], [5, -13, 21], [-9, 17, -21],
-                  [1, 9, 13], [-5, -9, -13]]
 
 
 def test_ladder_slab_loop_builds_no_full_table():
