@@ -220,47 +220,61 @@ def _write_expr(table: np.ndarray, variables, expr: Expr, point: dict[int, int],
                 algebra: Algebra) -> np.ndarray:
     """OR the expression into ``table`` in place and return the table.  The
     flat table ranges over ``variables`` (the first is the most significant
-    bit).  Each row of a ``Cubes`` node is one strided write, where a
-    literal on any other variable v meets the row's mask with ``point[v]``,
-    an atom mask, or its complement; a mask of 1 is assigned, which is the
-    same and cheaper, and any other is ORed into the strided view in place.
-    A row's 1 is the table algebra's 1, so a two-element row can be written
-    into 64-lane words (``algebra`` 2^64, lane patterns in ``point``).
-    Other nodes combine their parts' tables entrywise."""
+    bit).  A row of a ``Cubes`` node is a strided write, and a literal on
+    any other variable v meets the row's mask with ``point[v]``, an atom
+    mask, or its complement.  A row that lies wholly inside the table is
+    written on its own.  The rows that meet the point are merged by their
+    literals on the table: their masks are ORed as ints, and each group is
+    one write.  A mask of 1 is assigned, which is the same and cheaper, and
+    any other is ORed into the strided view in place.  A row's 1 is the
+    table algebra's 1, so a two-element row can be written into 64-lane
+    words (``algebra`` 2^64, lane patterns in ``point``).  Other nodes
+    combine their parts' tables entrywise."""
     variables = tuple(variables)
     view = table.reshape((2,) * len(variables))
     # Keyed by a variable's bit: its axis, or the point's mask and complement.
     axis = {1 << v: a for a, v in enumerate(variables)}
     met = {1 << v: (mask, ~mask) for v, mask in point.items()}
-    outside = ~sum(axis)
+    inside = sum(axis)
+    outside = ~inside
     # The Ellipsis keeps a view when every axis is fixed.
     whole = [slice(None)] * len(variables) + [...]
     full, one = algebra.full_mask, _entry(algebra, algebra.full_mask)
+
+    def write(care, bits, mask):
+        sel = whole.copy()
+        while care:
+            low = care & -care
+            sel[axis[low]] = 1 if bits & low else 0
+            care ^= low
+        if mask == full:
+            view[tuple(sel)] = one
+        else:
+            # Only a uint64 table meets a mask other than 0 and 1.
+            sub = view[tuple(sel)]
+            sub |= mask
+
     for part in expr.parts if isinstance(expr, Sum) else (expr,):
         if isinstance(part, Cubes):
             top = part.algebra.full_mask
+            merged = {}
             for care, bits, mask in zip(part.care, part.bits, part.value):
                 if mask == top:
                     mask = full
                 lits = care & outside
+                if not lits:
+                    if mask:
+                        write(care, bits, mask)
+                    continue
                 while lits:
                     low = lits & -lits
                     mask &= met[low][0] if bits & low else met[low][1]
                     lits ^= low
-                if not mask:
-                    continue
-                sel = whole.copy()
-                lits = care & ~outside
-                while lits:
-                    low = lits & -lits
-                    sel[axis[low]] = 1 if bits & low else 0
-                    lits ^= low
-                if mask == full:
-                    view[tuple(sel)] = one
-                else:
-                    # Only a uint64 table meets a mask other than 0 and 1.
-                    sub = view[tuple(sel)]
-                    sub |= mask
+                if mask:
+                    key = (care & inside, bits & inside)
+                    merged[key] = merged.get(key, 0) | mask
+            for (care, bits), mask in merged.items():
+                write(care, bits, mask)
         elif isinstance(part, Sum):
             _write_expr(table, variables, part, point, algebra)
         elif isinstance(part, Prod):

@@ -428,6 +428,12 @@ def _unpack(words: np.ndarray) -> np.ndarray:
     return np.unpackbits(octets, bitorder="little").view(bool)
 
 
+def _lane_groups(slab: np.ndarray, free: int, rest: int) -> np.ndarray:
+    """The first 2^free lane groups of 2^rest lanes, 3 <= rest < 6, in the
+    words of a slab, each read as an int of its own width."""
+    return slab.astype("<u8", copy=False).view(f"<u{1 << (rest - 3)}")[:1 << free]
+
+
 def _rows(slab: np.ndarray, free: int, rest: int) -> np.ndarray:
     """The 2^free rows of 2^rest entries each in a slab, one per line: a
     run of whole entries or words, or, for rows narrower than a word, the
@@ -435,6 +441,8 @@ def _rows(slab: np.ndarray, free: int, rest: int) -> np.ndarray:
     one-word slab repeats past its 2^(free+rest) entries are dropped."""
     if len(slab) >= 1 << free:
         return slab.reshape(1 << free, -1)
+    if rest >= 3:
+        return _lane_groups(slab, free, rest).astype(np.uint64).reshape(-1, 1)
     width = 1 << rest
     groups = slab[:, None] >> np.arange(0, 64, width, dtype=np.uint64)
     return (groups & np.uint64((1 << width) - 1)).reshape(-1, 1)[:1 << free]
@@ -463,10 +471,10 @@ def _zero_slab_rows(slab: np.ndarray, free: int, rest: int) -> int:
     whose set bits are counted."""
     if len(slab) >= 1 << free:
         return _zero_rows(slab.reshape(1 << free, -1))
-    lanes = slab.astype("<u8", copy=False)
     if rest >= 3:
-        groups = lanes.view(f"<u{1 << (rest - 3)}")[:1 << free]
+        groups = _lane_groups(slab, free, rest)
         return len(groups) - int(np.count_nonzero(groups))
+    lanes = slab.astype("<u8", copy=False)
     for k in range(rest):
         lanes = lanes | lanes >> np.uint64(1 << k)
     firsts = sum(1 << i for i in range(0, min(64, 1 << (free + rest)), 1 << rest))
@@ -477,6 +485,34 @@ def cnf_function(n: int, clauses, algebra: Algebra) -> BoolFunction:
     """f with f = 0 exactly on satisfying assignments: 1 on the cube where
     some clause is false.  A tautological clause contributes nothing."""
     return BoolFunction.from_expr(cnf_expr(clauses, algebra), n, algebra)
+
+
+def _prefix_levels(source: Expr, prefix: tuple[int, ...]) -> list[tuple[Expr, ...]]:
+    """The parts of ``source`` by level: level j > 0 holds the parts whose
+    deepest prefix variable is ``prefix[j - 1]``, and level 0 those without
+    one.  A ``Cubes`` part is split by the rows' ``care``, and any other
+    part is placed by its ``support()``."""
+    depth = {1 << v: j for j, v in enumerate(prefix, 1)}
+    prefix_mask = sum(depth)
+
+    def level(support: int) -> int:
+        support &= prefix_mask
+        j = 0
+        while support:
+            low = support & -support
+            j = max(j, depth[low])
+            support ^= low
+        return j
+
+    levels = [[] for _ in range(len(prefix) + 1)]
+    for part in source.parts if isinstance(source, Sum) else (source,):
+        if isinstance(part, Cubes):
+            rows = [level(care) for care in part.care]
+            for j in set(rows):
+                levels[j].append(part.select([r == j for r in rows]))
+        else:
+            levels[level(part.support())].append(part)
+    return [tuple(parts) for parts in levels]
 
 
 def _stage(source: Expr | BoolFunction, variables, block: tuple[int, ...],
@@ -490,8 +526,15 @@ def _stage(source: Expr | BoolFunction, variables, block: tuple[int, ...],
     leading block bits (the prefix), in index order.  A table is one slab of
     its rows, unpacked (``_block_rows``, a view under a consecutive split).
     A tree is written: one slab holds every row when they fit, and otherwise
-    each slab is a copy of a common buffer, which holds the parts without a
-    prefix variable, plus the parts the prefix leaves live.  ``_fold_rows``
+    the slabs are the leaves of a depth-first walk over the prefix bits.
+    Each part has a level, the depth of its deepest prefix variable
+    (``_prefix_levels``), and the common buffer holds the parts of level 0.
+    Buffer j holds buffer j - 1 plus the level-j parts, written under the
+    point ``prefix[:j]``; a level without parts aliases the buffer above it.
+    When slab p follows slab p - 1, only the buffers at and below the
+    highest prefix bit that changed are rebuilt, so a part whose deepest
+    prefix literal is at depth d is written 2^d times, not once per slab,
+    and skipped where its prefix literals miss the point.  ``_fold_rows``
     keeps the (order, 2^rest) coefficient table and checks the class.  The
     block minterms need no fold, and past one slab they keep no table: the
     stage is a ``CubeStage``.
@@ -505,10 +548,6 @@ def _stage(source: Expr | BoolFunction, variables, block: tuple[int, ...],
     zero coefficients are counted here, once: on the slab's rows under the
     block minterms (``_zero_slab_rows``, on the words), and on the folded
     table otherwise.  Only the eliminant and the kept table are unpacked.
-
-    A tree's parts are split once per stage by the prefix: the rows of a
-    ``Cubes`` part by ``care & prefix_mask``, and any other part by its
-    ``support()``.
     """
     algebra = phi.algebra
     remaining = tuple(i for i in variables if i not in block)
@@ -523,34 +562,34 @@ def _stage(source: Expr | BoolFunction, variables, block: tuple[int, ...],
             cut = max(0, len(written) - 6)
             lanes = dict(zip(written[cut:], _LANES[6 - len(written[cut:]):]))
             space, written = WORDS, written[:cut]
-        common, live = np.zeros(1 << len(written), dtype=_dtype_for(space)), source
-        if prefix:
-            fixed, live = [], []
-            prefix_mask = sum(1 << v for v in prefix)
-            for part in source.parts if isinstance(source, Sum) else (source,):
-                if isinstance(part, Cubes):
-                    meets = [bool(care & prefix_mask) for care in part.care]
-                    fixed.append(part.select([not m for m in meets]))
-                    live.append(part.select(meets))
-                else:
-                    (live if part.support() & prefix_mask else fixed).append(part)
-            _write_expr(common, written, Sum(tuple(fixed)), lanes, space)
-            live = Sum(tuple(live))
+        levels = _prefix_levels(source, prefix) if prefix else [(source,)]
+        common = np.zeros(1 << len(written), dtype=_dtype_for(space))
+        _write_expr(common, written, Sum(levels[0]), lanes, space)
+        # Buffer j is buffer j - 1 plus the level-j parts; an empty level
+        # aliases the buffer above it.
+        buffers = [common]
+        for parts in levels[1:]:
+            buffers.append(np.empty_like(common) if parts else buffers[-1])
     else:
         free = len(block)
         common = _block_rows(source, tuple(variables.index(i) for i in block)).reshape(-1)
-    # One slab is written in place: np.copyto of an array onto itself is free.
-    slab = np.empty_like(common) if prefix else common
+        buffers = [common]
+    slab = buffers[-1]
     # The entries or words of one row, or one word of several narrow rows.
     width = max(1, len(common) >> free)
     table = None if minterms else np.empty((phi.order, width), dtype=common.dtype)
     zero = 0
-    for p in range(1 << len(prefix)):
-        if tree:
-            np.copyto(slab, common)
+    depth = len(prefix)
+    for p in range(1 << depth):
+        if depth:
+            # The buffers at and below the highest prefix bit that changed.
+            top = depth + 1 - (p & -p).bit_length() if p else 1
             point = lanes | {v: bit * space.full_mask
-                             for v, bit in zip(prefix, point_bits(p, len(prefix)))}
-            _write_expr(slab, written, live, point, space)
+                             for v, bit in zip(prefix, point_bits(p, depth))}
+            for j in range(top, depth + 1):
+                if levels[j]:
+                    np.copyto(buffers[j], buffers[j - 1])
+                    _write_expr(buffers[j], written, Sum(levels[j]), point, space)
         product = np.bitwise_and.reduce(slab.reshape(-1, width), axis=0)
         if p:
             eliminant &= product

@@ -151,6 +151,35 @@ def dense_stages(f: BoolFunction, split, policy: str) -> list[tuple]:
     return stages
 
 
+def write_rows(table: np.ndarray, variables, node: Cubes, point: dict[int, int],
+               algebra: Algebra) -> np.ndarray:
+    """OR the rows of a ``Cubes`` node into the flat ``table`` over
+    ``variables`` (the first is the most significant bit), one row at a
+    time: a literal on a table variable picks the entries whose index has
+    that bit, and a literal on any other variable v meets the row's mask
+    with ``point[v]`` or its complement.  The node's 1 is the table
+    algebra's 1.  Returns the table."""
+    variables = list(variables)
+    width = len(variables)
+    index = np.arange(1 << width)
+    full = algebra.full_mask
+    for care, bits, mask in zip(node.care, node.bits, node.value):
+        if mask == node.algebra.full_mask:
+            mask = full
+        hit = np.ones(1 << width, dtype=bool)
+        for v in range(care.bit_length()):
+            if not care >> v & 1:
+                continue
+            bit = bits >> v & 1
+            if v in variables:
+                hit &= (index >> (width - 1 - variables.index(v)) & 1) == bit
+            else:
+                mask &= point[v] if bit else full & ~point[v]
+        if mask:
+            table[hit] |= bool(mask) if table.dtype == bool else np.uint64(mask)
+    return table
+
+
 def is_on_tuple(items, algebra: Algebra) -> bool:
     items = list(items)
     for i in range(len(items)):

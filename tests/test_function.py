@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +18,9 @@ from onsolve import (
     term_to_function,
     to_expression,
 )
-from onsolve.function import point_bits
-from onsolve.parsing import Not, Prod, Sum
+from onsolve.function import _dtype_for, _write_expr, point_bits
+from onsolve.parsing import Cubes, Not, Prod, Sum
+from onsolve.solver import WORDS
 
 from helpers import (
     B0,
@@ -31,6 +33,7 @@ from helpers import (
     rand_element,
     rand_function,
     rows,
+    write_rows,
 )
 
 WORKED_F = "x + x*y'*z + x*y + x'*z' + x*y' + x*y*z"
@@ -271,3 +274,40 @@ def test_wide_algebra_tables():
     assert f.evaluate((wide.zero,)) == a
     assert (f * ~f).is_zero
     assert f.cofactor(0, 1).coeff(0) == ~a
+
+
+def _shared_rows(algebra, n, rng):
+    """A node of up to 40 rows over six sets of variables out of n, so
+    that rows often share their literals on a table."""
+    sets = [rng.sample(range(n), rng.randint(0, min(n, 4))) for _ in range(6)]
+    care, bits, value = [], [], []
+    for _ in range(rng.randint(0, 40)):
+        c = sum(1 << v for v in rng.choice(sets))
+        pick = rng.random()
+        care.append(c)
+        bits.append(rng.getrandbits(n) & c)
+        value.append(algebra.full_mask if pick < 0.4 else 0 if pick < 0.5
+                     else rng.getrandbits(algebra.atom_count))
+    return Cubes(algebra, tuple(care), tuple(bits), tuple(value))
+
+
+def test_write_expr_matches_the_row_by_row_writer():
+    # Tables over a random part of n variables, the rest in the point, from
+    # random contents: bool and uint64 tables, and 64-lane words written
+    # from two-element rows.  Rows that meet the point are merged by their
+    # literals on the table, and the reference writes every row alone.
+    rng = random.Random("write-rows")
+    cases = [(algebra, algebra) for algebra in EXPR_ALGEBRAS] + [(WORDS, B0)]
+    for table_algebra, node_algebra in cases:
+        for _ in range(80):
+            n = rng.randint(0, 8)
+            variables = rng.sample(range(n), rng.randint(0, n))
+            point = {v: rng.getrandbits(table_algebra.atom_count)
+                     for v in range(n) if v not in variables}
+            node = _shared_rows(node_algebra, n, rng)
+            start = np.array([rng.getrandbits(table_algebra.atom_count) * (rng.random() < 0.3)
+                              for _ in range(1 << len(variables))],
+                             dtype=np.uint64).astype(_dtype_for(table_algebra))
+            got = _write_expr(start.copy(), variables, node, point, table_algebra)
+            want = write_rows(start.copy(), variables, node, point, table_algebra)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (n, variables)

@@ -53,6 +53,7 @@ from helpers import (
     LADDER_CLAUSES,
     OutsideClassError,
     cube,
+    rows,
     dense_stages,
     is_coon_tuple,
     is_on_tuple,
@@ -762,7 +763,9 @@ def test_eliminate_expr_matches_dense_stages(monkeypatch, slab):
 def test_slab_loop_writes_parts_without_a_prefix_variable_once(monkeypatch):
     # Slabs of 64 entries leave the whole first block {x1..x4} as the
     # prefix: 16 slabs.  A product or a complement over other variables is
-    # written once, into the common buffer; a part on x1 once per slab.
+    # written once, into the common buffer.  A part whose deepest prefix
+    # variable is x(d) is written into buffer d, once per point of x1..x(d):
+    # a part on x1 twice, and one on x4 once per slab.
     monkeypatch.setattr(solver, "_SLAB_ENTRIES", 64)
     write, calls = solver._write_expr, []
 
@@ -778,17 +781,84 @@ def test_slab_loop_writes_parts_without_a_prefix_variable_once(monkeypatch):
 
         product = Prod((x(4), Not(Sum((x(5, 0), cube(algebra.one, ((6, 1), (9, 0))))))))
         negated = Not(Sum((x(7), x(8), x(9, 0))))
-        live = Prod((x(0), x(5)))
-        expr = Sum((cube(algebra.one, ((1, 1), (6, 0))), product, negated, live))
+        first = Prod((x(0), x(5)))
+        second = Prod((x(1), Not(x(6))))
+        third = Not(Sum((x(2, 0), x(7))))
+        fourth = Prod((x(3), x(0, 0)))
+        parts = (product, negated, first, second, third, fourth)
+        expr = Sum((cube(algebra.one, ((1, 1), (6, 0))), *parts))
         calls.clear()
         trace = eliminate_expr(expr, n, algebra, split)
         assert isinstance(trace.stages[0], CubeStage)
         assert [sum(part in e.parts for e in calls)
-                for part in (product, negated, live)] == [1, 1, 16]
+                for part in parts] == [1, 1, 2, 4, 8, 16]
         dense = eliminate_blocks(BoolFunction.from_expr(expr, n, algebra), split)
         assert render_trace(trace) == render_trace(dense)
         assert dense.consistent
         assert extract_solution(trace) == extract_solution(dense)
+
+
+def test_slab_loop_strided_writes(monkeypatch):
+    # Slabs of 64 entries leave x1..x4 as the prefix of 16 slabs over the
+    # uint64 table of x5..x10.  A row is written once per point of the
+    # prefix variables down to its deepest one that its literals meet, and
+    # rows that meet the point merge by their literals on the table:
+    #   x1 x5 and a0 x1 x5 (one group)   level 1, 1 of 2 points   1
+    #   a0 x1' x5'                        level 1, 1 of 2 points   1
+    #   x4 x6                             level 4, 8 of 16 points  8
+    #   a1 x2 x4' x6'                     level 4, 4 of 16 points  4
+    #   x5 x7                             level 0, once            1
+    # Writing every row that the prefix leaves live into every slab takes
+    # 8 + 8 + 8 + 8 + 4 + 1 = 37 writes.
+    monkeypatch.setattr(solver, "_SLAB_ENTRIES", 64)
+    writes = []
+
+    class Counting(np.ndarray):
+        def __setitem__(self, key, value):
+            writes.append(key)
+            super().__setitem__(key, value)
+
+        def __ior__(self, other):
+            writes.append(other)
+            return super().__ior__(other)
+
+    write = solver._write_expr
+
+    def spy(table, variables, expr, point, algebra):
+        write(table.view(Counting), variables, expr, point, algebra)
+        return table
+
+    monkeypatch.setattr(solver, "_write_expr", spy)
+    a0, a1, one = B2.element(1), B2.element(2), B2.one
+    expr = rows(cube(one, ((0, 1), (4, 1))), cube(a0, ((0, 1), (4, 1))),
+                cube(a0, ((0, 0), (4, 0))), cube(one, ((3, 1), (5, 1))),
+                cube(a1, ((1, 1), (3, 0), (5, 0))), cube(one, ((4, 1), (6, 1))))
+    split = consecutive_split(10, 4)
+    trace = eliminate_expr(expr, 10, B2, split)
+    assert isinstance(trace.stages[0], CubeStage)
+    assert len(writes) == 15
+    dense = eliminate_blocks(BoolFunction.from_expr(expr, 10, B2), split)
+    assert render_trace(trace) == render_trace(dense)
+    assert extract_solution(trace) == extract_solution(dense)
+
+
+def test_rows_read_narrow_rows_as_the_shift_does():
+    # Rows of 2^rest < 64 entries: byte-wide ints for rest >= 3, the shift
+    # below, against the shift at every rest and every row count up to 2^16.
+    rng = np.random.default_rng(7)
+    for rest in range(6):
+        width = 1 << rest
+        for free in range(1, 17):
+            slab = rng.integers(0, 1 << 64, size=max(1, (1 << (free + rest)) >> 6),
+                                dtype=np.uint64)
+            if rng.random() < 0.5:
+                slab[rng.random(len(slab)) < 0.5] = 0
+            groups = slab[:, None] >> np.arange(0, 64, width, dtype=np.uint64)
+            want = (groups & np.uint64((1 << width) - 1)).reshape(-1, 1)[:1 << free]
+            got = solver._rows(slab, free, rest)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (rest, free)
+            zero = int(np.count_nonzero(want == 0))
+            assert solver._zero_slab_rows(slab, free, rest) == zero, (rest, free)
 
 
 def test_lane_patterns():
