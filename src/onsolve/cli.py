@@ -105,6 +105,8 @@ _LINE_BREAKS = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 # A comment ("c", "%") or problem ("p") line; group 1 is its first letter.
 _NOT_CLAUSES = re.compile(r"^[^\S\n]*([cp%])[^\n]*", re.M)
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+# SATLIB's trailer: a "%" line, then a lone 0 that ends the text.
+_SATLIB_TRAILER = re.compile(r"^[^\S\n]*%[^\n]*\n\s*0\s*\Z", re.M)
 
 
 def _integer(token: str, lineno: int) -> int:
@@ -131,7 +133,9 @@ def _read_dimacs(text: str) -> tuple[int, np.ndarray]:
     line or a token that is not an integer is reported with its line, the
     first in file order; a missing problem line, a literal outside 1..n,
     and then a clause count that differs from the problem line's are
-    reported once the whole text is read.
+    reported once the whole text is read.  When the text ends with SATLIB's
+    trailer, a ``%`` line and then a lone ``0``, and the clauses read are
+    one more than the problem line declares, that ``0`` is not a clause.
 
     The clause lines are read in one pass: the comment and problem lines
     are blanked out with one regular expression, and numpy reads the
@@ -179,6 +183,9 @@ def _read_dimacs(text: str) -> tuple[int, np.ndarray]:
     if len(outside):
         raise ProblemFormatError(f"literal {literals[outside[0]]} outside 1..{n}")
     read = np.count_nonzero(literals == 0) + bool(len(literals) and literals[-1])
+    if (read == m + 1 and (len(literals) == 1 or literals[-2] == 0)
+            and _SATLIB_TRAILER.search(text)):
+        literals, read = literals[:-1], m  # the trailer's 0 is no empty clause
     if read != m:
         raise ProblemFormatError(
             f"line {problem_line}: header declares {m} clauses, read {read}")

@@ -35,10 +35,17 @@ whole expression.  So no term costs an object of its own.  A DIMACS clause list 
 ``cnf_expr``, and a DIMACS file's literals by ``clause_cubes``: one row per
 clause, on the points that falsify it.
 
-``_tokenize`` returns the token kinds, texts and start positions as three
-parallel lists, and the parser walks them with one index.  ``term`` reads a
-name, its primes and the ``*`` after it in one loop, and calls ``factor``
-only for a constant or a group.  Each parser keeps the triple that
+``_tokenize`` returns the token texts as one list, which the parser walks
+with one index; a name is any token other than ``0 1 + * ' ( )`` and the
+empty END token.  It spaces out the marks with ``str.replace`` and cuts the
+words with ``str.split``, whose whitespace is ``str.isspace``'s.  Each
+distinct word is checked once, and only a word of several tokens (``xy``,
+``1x1``) or with a bad character is read one character at a time.  A
+token's position is found only for an error, by ``_start``: only whitespace
+lies between tokens, so each starts at the next occurrence of its text.
+``expr`` reads a term that is one name, and ``term`` reads a name, its
+primes and the ``*`` after it in one loop, calling ``factor`` only for a
+constant or a group.  Each parser keeps the triple that
 ``resolve_name`` gave for each name text, so a name repeated in many terms
 is resolved once; a parser reads one text, so nothing resolved under one
 list of variable names is seen under another.
@@ -167,8 +174,8 @@ class Not(Expr):
 # Tokenizer
 
 _LETTER_ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}  # 1-based variable numbers
-_PUNCTUATION = "01+*'()"  # each is one token, of its own kind
-_FACTOR_START = {"0", "1", "(", "NAME"}
+_SYMBOLS = frozenset(("0", "1", "+", "*", "'", "(", ")", ""))  # every token but a name
+_TERM_END = frozenset(("+", ")", ""))  # the tokens that end a term
 MAX_NESTING = 100
 """Most parentheses open at once, and most ``Not`` nodes on one path of the
 tree.  The parser and the tree walks after it (``Expr.evaluate``, the table
@@ -176,48 +183,72 @@ writers) recurse once per level, so a deeper text is a syntax error rather
 than a ``RecursionError``."""
 
 
-def _tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
-    """The kinds, texts and start positions of the tokens, as three parallel
-    lists that end with an END token."""
-    kinds: list[str] = []
-    texts: list[str] = []
-    starts: list[int] = []
-    i, end = 0, len(text)
+def _tokenize(text: str) -> list[str]:
+    """The token texts, ending with the empty END token.  The marks
+    ``+ * ' ( )`` are spaced out into words of their own and ``str.split``
+    cuts the words at whitespace.  A word that is one token (``0``, ``1``,
+    a mark, or a letter and digits) is kept whole; each other distinct word
+    is split once by ``_split_word``, in the order the text first meets
+    them, so that the first bad character in the text is the one reported."""
+    words = (text.replace("+", " + ").replace("*", " * ").replace("'", " ' ")
+             .replace("(", " ( ").replace(")", " ) ").split())
+    many = {word for word in set(words) if not (
+        word in _SYMBOLS or word[0].isalpha() and (len(word) == 1 or word[1:].isdigit()))}
+    if many:
+        split = {word: _split_word(word, text, words)
+                 for word in dict.fromkeys(words) if word in many}
+        words = [token for word in words for token in split.get(word, (word,))]
+    words.append("")
+    return words
+
+
+def _split_word(word: str, text: str, words: list[str]) -> list[str]:
+    """The tokens of ``word``, read one character at a time: ``0`` and ``1``
+    stand alone, and a letter starts a name that takes the digits after it.
+    Any other character is an error at its position in ``text``, where
+    ``word`` is first met in ``words``."""
+    tokens = []
+    i, end = 0, len(word)
     while i < end:
-        c = text[i]
-        if c in _PUNCTUATION:
-            kinds.append(c)
-            texts.append(c)
-            starts.append(i)
-            i += 1
-        elif c.isspace():
+        c = word[i]
+        if c == "0" or c == "1":
+            tokens.append(c)
             i += 1
         elif c.isalpha():
             j = i + 1
-            while j < end and text[j].isdigit():
+            while j < end and word[j].isdigit():
                 j += 1
-            kinds.append("NAME")
-            texts.append(text[i:j])
-            starts.append(i)
+            tokens.append(word[i:j])
             i = j
         else:
-            raise ExpressionSyntaxError(f"unexpected character {c!r}", i)
-    kinds.append("END")
-    texts.append("")
-    starts.append(end)
-    return kinds, texts, starts
+            start = _start(text, words, words.index(word))
+            raise ExpressionSyntaxError(f"unexpected character {c!r}", start + i)
+    return tokens
+
+
+def _start(text: str, tokens: list[str], i: int) -> int:
+    """The position in ``text`` of token i.  Only whitespace lies between
+    tokens, so each token starts at the next occurrence of its text after
+    the one before it; the END token starts at the end of the text."""
+    at = 0
+    for token in tokens[:i]:
+        at = text.index(token, at)
+        at += len(token)
+    return text.index(tokens[i], at) if tokens[i] else len(text)
 
 
 class _Parser:
-    """Recursive descent over the tokens.  ``primary``, ``factor``, ``term``
-    and ``expr`` return a node, or a cube as a plain ``(mask, care, bits)``
-    triple of ints: an atom mask, the variables that have a literal and
-    their polarities.  ``cube`` turns a triple into a node of one row where
-    it joins the tree.  ``pos`` indexes the token lists."""
+    """Recursive descent over the token texts.  ``primary``, ``factor``,
+    ``term`` and ``expr`` return a node, or a cube as a plain
+    ``(mask, care, bits)`` triple of ints: an atom mask, the variables that
+    have a literal and their polarities.  ``cube`` turns a triple into a
+    node of one row where it joins the tree.  ``pos`` indexes the tokens; a
+    token's position in the text is found only for an error."""
 
     def __init__(self, text: str, n: int, algebra: Algebra,
                  var_names: dict[str, int] | None):
-        self.kinds, self.texts, self.starts = _tokenize(text)
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0  # open parentheses around the current token
         self.nots = {}  # id of a Sum/Prod/Not -> most Not nodes on a path in it
@@ -226,6 +257,10 @@ class _Parser:
         self.full = algebra.full_mask
         self.var_names = var_names  # name -> 0-based index, or None
         self.resolved: dict[str, tuple[int, int, int]] = {}  # name -> its triple
+
+    def error(self, message: str, i: int) -> ExpressionSyntaxError:
+        """A syntax error at token i."""
+        return ExpressionSyntaxError(message, _start(self.text, self.tokens, i))
 
     def cube(self, part: Expr | tuple[int, int, int]) -> Expr:
         if type(part) is tuple:
@@ -243,22 +278,33 @@ class _Parser:
 
     def parse(self) -> Expr:
         e = self.expr()
-        if self.kinds[self.pos] != "END":
-            raise ExpressionSyntaxError(f"unexpected {self.texts[self.pos]!r}",
-                                        self.starts[self.pos])
+        if self.tokens[self.pos]:
+            raise self.error(f"unexpected {self.tokens[self.pos]!r}", self.pos)
         return self.cube(e)
 
     def expr(self) -> Expr | tuple[int, int, int]:
-        """Terms joined by ``+``.  A sum of constants is a constant; else
-        the cubes, with the rows of any ``Cubes`` part, make one node, which
+        """Terms joined by ``+``.  A term that is one name is read here, and
+        any other by ``term``.  A sum of constants is a constant; else the
+        cubes, with the rows of any ``Cubes`` part, make one node, which
         stands alone or first in a ``Sum`` of the other parts."""
-        part = self.term()
-        if self.kinds[self.pos] != "+":
-            return part
-        parts = [part]
-        while self.kinds[self.pos] == "+":
-            self.pos += 1
-            parts.append(self.term())
+        tokens, resolved = self.tokens, self.resolved
+        parts = []
+        pos = self.pos
+        while True:
+            name = tokens[pos]
+            if name not in _SYMBOLS and tokens[pos + 1] in _TERM_END:
+                parts.append(resolved.get(name) or self.resolve(pos))
+                pos += 1
+            else:
+                self.pos = pos
+                parts.append(self.term())
+                pos = self.pos
+            if tokens[pos] != "+":
+                break
+            pos += 1
+        self.pos = pos
+        if len(parts) == 1:
+            return parts[0]
         value, care, bits, others = [], [], [], []
         for part in parts:
             if type(part) is tuple:
@@ -297,20 +343,18 @@ class _Parser:
         its primes are read here, without ``factor``: a prime on a name's
         triple complements its atom mask or flips its one literal.  The
         cube factors of a ``Prod`` make its first part."""
-        kinds, texts, resolved = self.kinds, self.texts, self.resolved
+        tokens, resolved = self.tokens, self.resolved
         parts = []
         cubes = True  # every part is a triple
         pos = self.pos
         while True:
-            if kinds[pos] == "NAME":
-                name = texts[pos]
-                part = resolved.get(name)
-                if part is None:
-                    part = resolved[name] = self.resolve_name(name, self.starts[pos])
+            name = tokens[pos]
+            if name not in _SYMBOLS:
+                part = resolved.get(name) or self.resolve(pos)
                 pos += 1
-                if kinds[pos] == "'":
+                if tokens[pos] == "'":
                     mask, care, bits = part
-                    while kinds[pos] == "'":
+                    while tokens[pos] == "'":
                         pos += 1
                         if care:
                             bits ^= care
@@ -324,10 +368,10 @@ class _Parser:
                 parts.append(part)
                 cubes = cubes and type(part) is tuple
                 pos = self.pos
-            kind = kinds[pos]
-            if kind == "*":
+            token = tokens[pos]
+            if token == "*":
                 pos += 1
-            elif kind not in _FACTOR_START:
+            elif token in _TERM_END:
                 break
         self.pos = pos
         if len(parts) == 1:
@@ -341,8 +385,7 @@ class _Parser:
 
     def factor(self) -> Expr | tuple[int, int, int]:
         e = self.primary()
-        while self.kinds[self.pos] == "'":
-            pos = self.starts[self.pos]
+        while self.tokens[self.pos] == "'":
             self.pos += 1
             if type(e) is tuple and not e[1]:
                 e = e[0] ^ self.full, 0, 0
@@ -351,8 +394,8 @@ class _Parser:
             else:
                 nots = self.nots.get(id(e), 0) + 1
                 if nots > MAX_NESTING:
-                    raise ExpressionSyntaxError(
-                        f"complements nested deeper than {MAX_NESTING}", pos)
+                    raise self.error(
+                        f"complements nested deeper than {MAX_NESTING}", self.pos - 1)
                 e = Not(self.cube(e))
                 self.nots[id(e)] = nots
         return e
@@ -360,57 +403,60 @@ class _Parser:
     def primary(self) -> Expr | tuple[int, int, int]:
         """A constant or a group; ``term`` reads names itself."""
         i = self.pos
-        kind, start = self.kinds[i], self.starts[i]
+        token = self.tokens[i]
         self.pos = i + 1
-        if kind == "0":
+        if token == "0":
             return 0, 0, 0
-        if kind == "1":
+        if token == "1":
             return self.full, 0, 0
-        if kind == "(":
+        if token == "(":
             if self.depth == MAX_NESTING:
-                raise ExpressionSyntaxError(
-                    f"parentheses nested deeper than {MAX_NESTING}", start)
+                raise self.error(f"parentheses nested deeper than {MAX_NESTING}", i)
             self.depth += 1
             e = self.expr()
             self.depth -= 1
-            if self.kinds[self.pos] != ")":
-                raise ExpressionSyntaxError("expected ')'", self.starts[self.pos])
+            if self.tokens[self.pos] != ")":
+                raise self.error("expected ')'", self.pos)
             self.pos += 1
             return e
-        raise ExpressionSyntaxError(
-            f"unexpected {self.texts[i] or 'end of input'!r}", start)
+        raise self.error(f"unexpected {token or 'end of input'!r}", i)
 
-    def resolve_name(self, name: str, pos: int) -> tuple[int, int, int]:
-        # A NAME token is a letter and digits, so an ASCII name longer than
+    def resolve(self, i: int) -> tuple[int, int, int]:
+        """The triple of the name at token i, kept for the name's next use."""
+        name = self.tokens[i]
+        part = self.resolved[name] = self.resolve_name(name, i)
+        return part
+
+    def resolve_name(self, name: str, i: int) -> tuple[int, int, int]:
+        # A name token is a letter and digits, so an ASCII name longer than
         # one character is a letter and an ASCII number.
         numbered = len(name) > 1 and name.isascii()
         if self.var_names is not None:
             if name in self.var_names:
                 return self.literal(self.var_names[name])
             if name[0] == "a" and numbered:
-                return self.resolve_atom(name, pos)
-            raise ExpressionSyntaxError(f"unknown variable {name!r}", pos)
+                return self.resolve_atom(name, i)
+            raise self.error(f"unknown variable {name!r}", i)
         if name[0] == "x" and numbered:
             number = int(name[1:])
             if not 1 <= number <= self.n:
-                raise ExpressionSyntaxError(
-                    f"variable {name!r} outside x1..x{self.n}", pos)
+                raise self.error(f"variable {name!r} outside x1..x{self.n}", i)
             return self.literal(number - 1)
         if name[0] == "a" and numbered:
-            return self.resolve_atom(name, pos)
+            return self.resolve_atom(name, i)
         if name in _LETTER_ALIASES and _LETTER_ALIASES[name] <= self.n:
             return self.literal(_LETTER_ALIASES[name] - 1)
-        raise ExpressionSyntaxError(f"unknown symbol {name!r}", pos)
+        raise self.error(f"unknown symbol {name!r}", i)
 
     def literal(self, v: int) -> tuple[int, int, int]:
         return self.full, 1 << v, 1 << v
 
-    def resolve_atom(self, name: str, pos: int) -> tuple[int, int, int]:
+    def resolve_atom(self, name: str, i: int) -> tuple[int, int, int]:
         atom = int(name[1:])
         if atom >= self.algebra.atom_count:
-            raise ExpressionSyntaxError(
+            raise self.error(
                 f"unknown atom {name!r} (algebra has "
-                f"{self.algebra.atom_count} atoms)", pos)
+                f"{self.algebra.atom_count} atoms)", i)
         return 1 << atom, 0, 0
 
 

@@ -3,8 +3,9 @@
 The evaluation and satisfiability oracles here deliberately avoid the code
 paths they are used to check: evaluation goes literal by literal through the
 minterm sum, satisfaction of CNF clauses is checked straight off the literal
-lists, class membership is an exhaustive search for the constants, and the
-elimination stages are read off the dense tables with plain numpy.
+lists, class membership is an exhaustive search for the constants, the
+elimination stages are read off the dense tables with plain numpy, and the
+tokens are read one character at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from onsolve import (
     minterm_set,
 )
 from onsolve.function import point_bits
-from onsolve.parsing import Cubes
+from onsolve.parsing import Cubes, ExpressionSyntaxError, _start, _tokenize
 
 B0 = Algebra(1)
 B2 = Algebra(2)
@@ -250,3 +251,63 @@ def clauses_satisfied(clauses: list[list[int]], bits: list[int]) -> bool:
 def model_bits(model, n: int) -> list[int]:
     """A two-element-algebra assignment as a 0/1 list."""
     return [1 if model[i].is_one else 0 for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# Tokens, one character at a time
+
+
+def reference_tokenize(text: str) -> tuple[list[str], list[int]]:
+    """The token texts and start positions of ``text``, ending with the
+    empty END token, read one character at a time: each of ``01+*'()`` is a
+    token, whitespace is skipped, a letter starts a name that takes the
+    digits after it, and any other character is an error."""
+    texts: list[str] = []
+    starts: list[int] = []
+    i, end = 0, len(text)
+    while i < end:
+        c = text[i]
+        if c in "01+*'()":
+            texts.append(c)
+            starts.append(i)
+            i += 1
+        elif c.isspace():
+            i += 1
+        elif c.isalpha():
+            j = i + 1
+            while j < end and text[j].isdigit():
+                j += 1
+            texts.append(text[i:j])
+            starts.append(i)
+            i = j
+        else:
+            raise ExpressionSyntaxError(f"unexpected character {c!r}", i)
+    texts.append("")
+    starts.append(end)
+    return texts, starts
+
+
+def _tokens_or_error(tokenize, text: str):
+    try:
+        return tokenize(text)
+    except ExpressionSyntaxError as exc:
+        return str(exc), exc.position
+
+
+def _tokens_and_starts(text: str) -> tuple[list[str], list[int]]:
+    tokens = _tokenize(text)
+    return tokens, [_start(text, tokens, i) for i in range(len(tokens))]
+
+
+def tokenizer_mismatches(texts) -> list[str]:
+    """The texts on which ``parsing._tokenize``, with each token's start
+    found by ``parsing._start``, and ``reference_tokenize`` disagree: on the
+    token texts, their starts, or the error message and position."""
+    return [text for text in texts
+            if _tokens_or_error(_tokens_and_starts, text)
+            != _tokens_or_error(reference_tokenize, text)]
+
+
+def code_point_texts(codes, contexts):
+    """Each context with ``{c}`` replaced by each code point in ``codes``."""
+    return (context.replace("{c}", chr(code)) for code in codes for context in contexts)

@@ -908,6 +908,26 @@ def test_dimacs_clause_count_agrees():
     assert parse_dimacs("p cnf 2 4\n0\n1 -1 0\n1 0 2\n") == (2, [[], [1, -1], [1], [2]])
     assert parse_dimacs("c\np cnf 0 0\n") == (0, [])
 
+
+def test_satlib_trailer_is_not_an_empty_clause(capsys, tmp_path):
+    # SATLIB files end with a "%" line and a lone 0.  That 0 is no empty
+    # clause when the count would be one over the header's; else it stays
+    # one, and a 0 that ends a clause is never the trailer.
+    problem = tmp_path / "satlib.cnf"
+    for text in ("p cnf 3 1\n1 2 3 0\n%\n0\n", "p cnf 3 1\r\n1 2 3 0\r\n %x\r\n\r\n 0 \r\n\r\n"):
+        assert parse_dimacs(text) == (3, [[1, 2, 3]])
+        problem.write_text(text)
+        assert run(capsys, "solve", str(problem)) == (0, "CONSISTENT\nmodel: x1=1 x2=1 x3=1\n", "")
+    assert parse_dimacs("p cnf 3 2\n1 2 3 0\n%\n0\n") == (3, [[1, 2, 3], []])
+    assert parse_dimacs("p cnf 3 1\n1 2 3\n%\n0\n") == (3, [[1, 2, 3]])
+    assert parse_dimacs("p cnf 3 0\n%\n0\n") == (3, [])
+    for text, read in [("p cnf 3 1\n1 2 3 0\n0\n", 2), ("p cnf 3 1\n1 2 3 0\n%\n0\n-1 0\n", 3),
+                       ("p cnf 3 0\n1 2 3 0\n%\n0\n", 2), ("p cnf 3 1\n1 2 3 0\nc\n0\n", 2),
+                       ("p cnf 3 0\n1 2 3\n%\n0\n", 1)]:
+        with pytest.raises(ProblemFormatError, match=f"header declares \\d+ clauses, read {read}$"):
+            parse_dimacs(text)
+
+
 def messy_dimacs(rng):
     """A DIMACS text as files come: comment and "%" lines, clauses across
     lines and several on one line, leading blanks and CRLF endings, the

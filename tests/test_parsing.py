@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onsolve import (Algebra, ExpressionSyntaxError, complement, join, meet,
-                     parse, parse_element)
+                     parse, parse_element, parsing)
 from onsolve.function import point_bits
-from onsolve.parsing import Cubes, Not, Prod, Sum, parse_expr
+from onsolve.parsing import Cubes, Not, Prod, Sum, _tokenize, parse_expr
 
-from helpers import B0, B2, B3, EXPR_ALGEBRAS, cube, rows
+from helpers import (B0, B2, B3, EXPR_ALGEBRAS, code_point_texts, cube, rows,
+                     tokenizer_mismatches)
 
 
 def table_of(text, n, algebra=B0, **kw):
@@ -100,6 +101,37 @@ def test_empty_input():
 def test_parse_element_three_atoms():
     wide = Algebra(3)
     assert parse_element("a0 + a2", wide) == wide.element(0b101)
+
+
+# Words of several tokens, names with non-ASCII letters and digits, tokens
+# found inside the name before them ("1" in "x1", "2" in "x12"), and bad
+# characters after, between and in repeated words of several tokens.
+TOKEN_CASES = ["xy", "1x1", "x10", "01", "x1a2", "p²", "α", "x٣", "x1 ?",
+               "x1 1", "x12 2", "a10 0 1'", " x1a2 \t(y0)' x1?", "x1a2 x1b",
+               "xy? x1?", "x1? xy?", "xy x? xy", "ab? ab? x?"]
+
+
+def test_tokenizer_matches_the_per_character_reference():
+    assert _tokenize("xy 1x1 x10 01") == ["x", "y", "1", "x1", "x10", "0", "1", ""]
+    assert _tokenize(" x1a2'+p²*x٣ ") == ["x1", "a2", "'", "+", "p²", "*", "x٣", ""]
+    assert tokenizer_mismatches(TOKEN_CASES) == []
+    contexts = ("{c}", "x1{c}2 a", "a{c}1", " {c}x1'")
+    assert tokenizer_mismatches(code_point_texts(range(0x10000), contexts)) == []
+
+
+def test_only_words_of_several_tokens_are_read_per_character(monkeypatch):
+    split = []
+    per_character = parsing._split_word
+
+    def split_word(word, text, words):
+        split.append(word)
+        return per_character(word, text, words)
+
+    monkeypatch.setattr(parsing, "_split_word", split_word)
+    tokens = _tokenize("p² x1 α x٣ xy (a0+a12)*x1' 1x1 xy 0 1")
+    assert tokens == ["p²", "x1", "α", "x٣", "x", "y", "(", "a0", "+", "a12", ")",
+                      "*", "x1", "'", "1", "x1", "x", "y", "0", "1", ""]
+    assert split == ["xy", "1x1"]
 
 
 # (text, n, algebra, var_names, message, position) for every kind of
