@@ -426,12 +426,10 @@ def cmd_expand(args) -> int:
         onset = load_on_set(Path(args.onset), args.algebra,
                             problem.algebra.atom_count, args.var_cap)
     if onset is None:
-        print("no ON set given (problem 'onset' line or --onset file)",
-              file=sys.stderr)
-        return 2
+        raise ProblemFormatError(
+            "no ON set given (problem 'onset' line or --onset file)")
     if onset.algebra != problem.algebra or onset.n != problem.n:
-        print("ON set does not match the problem", file=sys.stderr)
-        return 2
+        raise ProblemFormatError("ON set does not match the problem")
     membership = is_in_class(problem.function, onset)
     print(f"in constant class: {'yes' if membership else 'no'}")
     for i, (block, interval) in enumerate(zip(onset.blocks, membership.intervals)):
@@ -470,8 +468,7 @@ def cmd_verify(args) -> int:
                      ProblemFile(algebra, n, default_var_names(n),
                                  None, None, cnf_expr(clauses, algebra))))
     if not jobs:
-        print("nothing to verify", file=sys.stderr)
-        return 2
+        raise ProblemFormatError("nothing to verify")
     agree = skipped = 0
     for name, problem in jobs:
         report = brute_consistency(problem.function)

@@ -140,18 +140,7 @@ class BoolFunction:
                 mask |= 1 << t
         return self.algebra.element(mask)
 
-    def evaluate_bits(self, bits) -> AlgebraElement:
-        """Value at a 0/1 point given as a sequence of ints."""
-        idx = 0
-        count = 0
-        for b in bits:
-            idx = idx << 1 | (b & 1)
-            count += 1
-        if count != self.n:
-            raise ValueError(f"expected {self.n} bits, got {count}")
-        return self.coeff(idx)
-
-    # -- cofactors and restriction ---------------------------------------------
+    # -- cofactors ------------------------------------------------------------
 
     def cofactor(self, i: int, v: int) -> "BoolFunction":
         """f with variable i pinned to bit v; arity is kept, variable i inert."""
@@ -165,21 +154,6 @@ class BoolFunction:
         half = view[tuple(sel)]
         out = np.stack((half, half), axis=i).reshape(-1)
         return BoolFunction(self.algebra, self.n, out)
-
-    def restrict(self, fixed: dict[int, int]) -> "BoolFunction":
-        """Fix some variables to bits, dropping them from the arity.
-
-        Remaining variables keep their relative order.
-        """
-        for i, v in fixed.items():
-            if not 0 <= i < self.n:
-                raise IndexError(f"variable index {i} out of range for n={self.n}")
-            if v not in (0, 1):
-                raise ValueError("restriction bits must be 0 or 1")
-        view = self.table.reshape((2,) * self.n)
-        sel = tuple(fixed.get(ax, slice(None)) for ax in range(self.n))
-        sub = np.ascontiguousarray(view[sel]).reshape(-1)
-        return BoolFunction(self.algebra, self.n - len(fixed), sub)
 
     # -- pointwise algebra ------------------------------------------------------
 

@@ -1,15 +1,17 @@
-"""A deliberately naive brute-force consistency reference for cross-checking
-the solvers.
+"""An exact consistency oracle that runs none of the solver's code.
 
-Over the two-element algebra consistency is decided by 0/1 assignments, so
-the canonical coefficient table is scanned directly; over a general finite
-algebra every tuple of B**n is tried.  The point budget is explicit and
-generous enough for the bundled tests, nothing here aims to be fast.
+Boole's condition: take the ON set of the 2**n minterms, and f(X) = 0 is
+consistent exactly when the product of f's values at the 0/1 points is 0.
+Evaluation is atomwise (``BoolFunction.evaluate``), so the condition is read
+one atom t at a time off the coefficient table: the equation is consistent
+exactly when every atom is missing from some entry, and then the first such
+entry A_t puts t in X_i exactly when bit i of A_t is set.  The witness is
+checked with ``evaluate``.  The work is at most one pass over the table per
+atom, and no point of B**n is enumerated.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,50 +19,48 @@ import numpy as np
 from .function import BoolFunction, point_bits
 from .solver import Assignment
 
-DEFAULT_POINT_BUDGET = 1 << 24
-
-
-class BudgetExceededError(ValueError):
-    """The instance is larger than the oracle's enumeration budget."""
+# Entries per chunk of the scan: 64 KiB as bool, 512 KiB as uint64.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
 class OracleReport:
     consistent: bool
     witness: Assignment | None
-    checked_points: int
 
 
-def brute_consistency(f: BoolFunction,
-                      point_budget: int = DEFAULT_POINT_BUDGET) -> OracleReport:
-    """Search for a zero of f by enumeration, smallest candidate first.
+def _first_without(entries: np.ndarray, atom: int,
+                   scratch: np.ndarray) -> int | None:
+    """The index of the first entry without the atom mask ``atom``, or None.
+    Each chunk is ANDed into ``scratch`` before ``np.argmin`` reads it,
+    since argmin copies an array it cannot write, such as a table."""
+    for row, chunk in enumerate(entries.reshape(-1, len(scratch))):
+        lacks = np.bitwise_and(chunk, atom, out=scratch)
+        j = int(np.argmin(lacks))
+        if not lacks[j]:
+            return row * len(scratch) + j
+    return None
 
-    Two-element algebra: scans the 2**n coefficient table (the values at all
-    0/1 points).  General algebra: walks all of B**n in mask-lexicographic
-    order and evaluates.
+
+def brute_consistency(f: BoolFunction) -> OracleReport:
+    """Decide f = 0 by Boole's condition, one atom at a time.
+
+    Over the two-element algebra the witness is the first zero entry in
+    index order.  The scan stops at the first chunk that holds one, and it
+    allocates one chunk, not a table.
     """
-    algebra = f.algebra
-    n = f.n
-    if algebra.atom_count <= 1:
-        total = 1 << n
-        if total > point_budget:
-            raise BudgetExceededError(
-                f"2^{n} points exceed the budget of {point_budget}")
-        if f.table.all():
-            return OracleReport(False, None, total)
-        j = int(np.argmin(f.table))  # first False entry
-        witness = {i: algebra.one if b else algebra.zero
-                   for i, b in enumerate(point_bits(j, n))}
-        return OracleReport(True, witness, j + 1)
-
-    total = algebra.size ** n
-    if total > point_budget:
-        raise BudgetExceededError(
-            f"{algebra.size}^{n} tuples exceed the budget of {point_budget}")
-    checked = 0
-    for masks in itertools.product(range(algebra.size), repeat=n):
-        point = tuple(algebra.element(m) for m in masks)
-        checked += 1
-        if f.evaluate(point).is_zero:
-            return OracleReport(True, dict(enumerate(point)), checked)
-    return OracleReport(False, None, checked)
+    algebra, n = f.algebra, f.n
+    # Bytes, not bools: numpy ANDs a bool array with a scalar 20x slower.
+    entries = f.table.view(np.uint8) if f.table.dtype == bool else f.table
+    scratch = np.empty(min(len(entries), _CHUNK), dtype=entries.dtype)
+    masks = [0] * n
+    for t in range(algebra.atom_count):
+        j = _first_without(entries, 1 << t, scratch)
+        if j is None:
+            return OracleReport(False, None)
+        for i, bit in enumerate(point_bits(j, n)):
+            masks[i] |= bit << t
+    witness = {i: algebra.element(m) for i, m in enumerate(masks)}
+    if not f.evaluate(tuple(witness.values())).is_zero:
+        raise AssertionError("internal error: Boole's witness fails")
+    return OracleReport(True, witness)

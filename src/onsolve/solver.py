@@ -295,52 +295,41 @@ def block_eliminant(f: BoolFunction, block,
 
 @dataclass(frozen=True)
 class EliminationStage:
-    """One step of block elimination, kept for reporting and back-substitution."""
+    """One step of block elimination, kept for reporting and back-substitution.
+
+    ``source`` is the read-only (order, 2^rest) coefficient table, row i the
+    coefficient of phi_i, or the expression tree for a minterm stage 1
+    larger than one slab (ladder keeps its table)."""
 
     block: tuple[int, ...]            # original indices eliminated here
     remaining: tuple[int, ...]        # original indices the eliminant ranges over
     phi: OrthonormalSet               # ON set over the block's local variables
-    table: np.ndarray                 # read-only, row i = coefficient of phi_i
+    source: np.ndarray | Expr         # the coefficient table, or the tree
     eliminant: BoolFunction           # product of the coefficients
     zero_coefficients: int            # coefficients that vanish identically
 
     @property
     def coeffs(self) -> tuple[BoolFunction, ...]:
-        """The expansion coefficients over `remaining`, one per table row."""
+        """The expansion coefficients over `remaining`, one per row of a
+        table source."""
         return tuple(BoolFunction(self.eliminant.algebra, len(self.remaining), row)
-                     for row in self.table)
+                     for row in self.source)
 
     def constants_at(self, values: dict[int, int]) -> np.ndarray:
         """The coefficients at the point where each remaining variable i
-        takes the atom mask ``values[i]``: one column gather per atom."""
+        takes the atom mask ``values[i]`` (``values`` holds no block
+        variable): the tree written over the block, or one column gather
+        per atom from the table."""
         algebra = self.eliminant.algebra
-        constants = np.zeros(self.phi.order, dtype=self.table.dtype)
+        constants = np.zeros(self.phi.order, dtype=_dtype_for(algebra))
+        if isinstance(self.source, Expr):
+            return _write_expr(constants, self.block, self.source, values, algebra)
         for t in range(algebra.atom_count):
             idx = 0
             for i in self.remaining:
                 idx = idx << 1 | (values[i] >> t & 1)
-            constants |= self.table[:, idx] & _entry(algebra, 1 << t)
+            constants |= self.source[:, idx] & _entry(algebra, 1 << t)
         return constants
-
-
-@dataclass(frozen=True)
-class CubeStage:
-    """Stage 1 under the minterm policy when its table is larger than one
-    slab: it keeps the expression instead of the table (ladder keeps one)."""
-
-    block: tuple[int, ...]
-    remaining: tuple[int, ...]
-    phi: OrthonormalSet               # the block minterms
-    expr: Expr
-    eliminant: BoolFunction
-    zero_coefficients: int            # block points where f vanishes identically
-
-    def constants_at(self, values: dict[int, int]) -> np.ndarray:
-        """f at each block point with each remaining variable i at the atom
-        mask ``values[i]`` (``values`` holds no block variable)."""
-        algebra = self.eliminant.algebra
-        constants = np.zeros(self.phi.order, dtype=_dtype_for(algebra))
-        return _write_expr(constants, self.block, self.expr, values, algebra)
 
 
 @dataclass(frozen=True)
@@ -351,7 +340,7 @@ class EliminationTrace:
     n: int
     split: tuple[tuple[int, ...], ...]
     policy: str
-    stages: tuple[EliminationStage | CubeStage, ...]
+    stages: tuple[EliminationStage, ...]
     final: AlgebraElement
 
     @property
@@ -516,7 +505,7 @@ def _prefix_levels(source: Expr, prefix: tuple[int, ...]) -> list[tuple[Expr, ..
 
 
 def _stage(source: Expr | BoolFunction, variables, block: tuple[int, ...],
-           phi: OrthonormalSet, minterms: bool) -> EliminationStage | CubeStage:
+           phi: OrthonormalSet, minterms: bool) -> EliminationStage:
     """The stage eliminating ``block`` from ``source``, an expression tree or
     a table over the original variables ``variables`` in order.  ``minterms``
     says that ``phi`` is the block minterms, whose rows need no fold.
@@ -537,7 +526,7 @@ def _stage(source: Expr | BoolFunction, variables, block: tuple[int, ...],
     and skipped where its prefix literals miss the point.  ``_fold_rows``
     keeps the (order, 2^rest) coefficient table and checks the class.  The
     block minterms need no fold, and past one slab they keep no table: the
-    stage is a ``CubeStage``.
+    stage keeps the tree as its source.
 
     Over the two-element algebra a tree's slab is written as 64-entry words,
     one word below six variables.  The AND runs on the words at every row
@@ -607,7 +596,7 @@ def _stage(source: Expr | BoolFunction, variables, block: tuple[int, ...],
         eliminant = _unpack(eliminant)[:1 << rest]
     g = BoolFunction(algebra, rest, eliminant)
     if table is None and prefix:
-        return CubeStage(block, remaining, phi, source, g, zero)
+        return EliminationStage(block, remaining, phi, source, g, zero)
     if table is None:
         table = _unpack(slab)[:1 << len(variables)] if packed else slab
         table = table.reshape(1 << len(block), -1)

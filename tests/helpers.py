@@ -2,10 +2,11 @@
 
 The evaluation and satisfiability oracles here deliberately avoid the code
 paths they are used to check: evaluation goes literal by literal through the
-minterm sum, satisfaction of CNF clauses is checked straight off the literal
-lists, class membership is an exhaustive search for the constants, the
-elimination stages are read off the dense tables with plain numpy, and the
-tokens are read one character at a time.
+minterm sum, consistency is an exhaustive search of B**n, satisfaction of
+CNF clauses is checked straight off the literal lists, class membership is
+an exhaustive search for the constants, the elimination stages are read off
+the dense tables with plain numpy, and the tokens are read one character at
+a time.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from onsolve import (
     Algebra,
     AlgebraElement,
     BoolFunction,
-    BudgetExceededError,
     OrthonormalSet,
     complement,
     join,
@@ -86,6 +86,13 @@ def all_points(algebra: Algebra, n: int):
         yield tuple(algebra.element(m) for m in masks)
 
 
+def first_zero(f: BoolFunction):
+    """The first point of B**n, in ``all_points`` order, where f is 0, or
+    None when f = 0 is inconsistent."""
+    return next((p for p in all_points(f.algebra, f.n) if f.evaluate(p).is_zero),
+                None)
+
+
 def minterm_sum_eval(f: BoolFunction, point) -> AlgebraElement:
     """Independent evaluation: sum over j of coeff_j * minterm_j(Z), with the
     minterm computed literal by literal."""
@@ -100,6 +107,10 @@ def minterm_sum_eval(f: BoolFunction, point) -> AlgebraElement:
 
 
 DEFAULT_TUPLE_BUDGET = 1 << 16
+
+
+class BudgetExceededError(ValueError):
+    """``brute_class_membership`` would try more tuples than its budget."""
 
 
 def brute_class_membership(f: BoolFunction, onset: OrthonormalSet,

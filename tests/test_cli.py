@@ -516,6 +516,43 @@ def test_solve_error_exit_code(capsys, tmp_path):
                    "(at position 0)\n")
 
 
+_PROBLEM = "vars 2\nequation x1*x2\n"
+_MODEL = ["solve", "p.txt", "--check-model", "m.txt"]
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    ({"p.txt": _PROBLEM}, ["solve", "p.txt", "--block-size", "0"],
+     "block size must be positive"),
+    ({"p.cnf": "p cnf 1 1\n1 0\n"}, ["--algebra", "2", "solve", "p.cnf"],
+     "DIMACS problems live over the two-element algebra"),
+    ({"p.txt": "vars 2\n"}, ["solve", "p.txt"],
+     "problem file lacks an 'equation' line"),
+    ({"p.txt": _PROBLEM + "blocks x1 | | x2\n"}, ["solve", "p.txt"],
+     "empty block in 'blocks' line"),
+    ({"p.txt": _PROBLEM + "onset {0,1} 2,3\n"}, ["solve", "p.txt"],
+     "bad onset chunk '2,3'"),
+    ({"p.txt": _PROBLEM, "on.txt": "x1\nx1'\n"},
+     ["expand", "p.txt", "--onset", "on.txt"],
+     "expression-form ON-set file lacks a 'vars' line"),
+    ({"p.txt": _PROBLEM, "m.txt": "x1"}, _MODEL, "bad model token 'x1'"),
+    ({"p.txt": _PROBLEM, "m.txt": "x1=0 y=1"}, _MODEL,
+     "unknown variable 'y' in model"),
+    ({"p.txt": _PROBLEM, "m.txt": "x1=0"}, _MODEL,
+     "model leaves variables unset: x2"),
+    ({"p.txt": _PROBLEM}, ["expand", "p.txt"],
+     "no ON set given (problem 'onset' line or --onset file)"),
+    ({"p.txt": _PROBLEM, "on.txt": "vars 1\nx1\nx1'\n"},
+     ["expand", "p.txt", "--onset", "on.txt"], "ON set does not match the problem"),
+    ({}, ["verify"], "nothing to verify"),
+])
+def test_exit_2_prints_one_error_line(capsys, monkeypatch, tmp_path, files, argv,
+                                      message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def _nested(levels: int) -> str:
     """x1 + x2 (x1 + x2 (…)')': a Sum, a Prod and a Not at every level."""
     text = "x1 x2"

@@ -245,7 +245,7 @@ def test_interval_worked_example_block_coefficient():
     for yz in range(4):
         mask = 0
         for xv in (0, 1):
-            value = f3.evaluate_bits((xv, yz >> 1 & 1, yz & 1))
+            value = f3.coeff(xv << 2 | yz)
             mask |= value.mask << xv
         packed.append(B2.element(mask))
     g = BoolFunction.from_coeffs(B2, 2, packed)

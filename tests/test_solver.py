@@ -11,7 +11,6 @@ import pytest
 from onsolve import (
     AlgebraMismatchError,
     BoolFunction,
-    CubeStage,
     InapplicableClassError,
     InconsistentTraceError,
     b0_coefficient,
@@ -43,7 +42,7 @@ from onsolve import (
 from onsolve import solver
 from onsolve.algebra import Algebra, join_all, meet, meet_all
 from onsolve.function import point_bits
-from onsolve.parsing import Cubes, Not, Prod, Sum, cnf_expr
+from onsolve.parsing import Cubes, Expr, Not, Prod, Sum, cnf_expr
 from onsolve.solver import is_on_system
 
 from helpers import (
@@ -508,7 +507,7 @@ def test_eliminate_blocks_wide_algebra():
     for _ in range(10):
         f = rand_function(wide, 3, rng)
         trace = eliminate_blocks(f, consecutive_split(3, 2))
-        assert trace.stages[0].table.dtype == np.uint64
+        assert trace.stages[0].source.dtype == np.uint64
         assert trace.consistent == meet_all(f.coeffs, wide).is_zero
         assert "coefficients: 4 (" in render_trace(trace)
         if trace.consistent:
@@ -696,14 +695,15 @@ def _dense_or_none(f, split, policy):
 
 def _assert_matches_dense(trace, reference):
     """Each stage's eliminant, zero count and kept table equal those that
-    ``dense_stages`` reads off f's table (a ``CubeStage`` keeps no table)."""
+    ``dense_stages`` reads off f's table (a stage that keeps the tree keeps
+    no table)."""
     assert len(trace.stages) == len(reference)
     for stage, (eliminant, zero, kept) in zip(trace.stages, reference):
         assert np.array_equal(stage.eliminant.table, eliminant)
         assert stage.zero_coefficients == zero
-        if not isinstance(stage, CubeStage):
-            assert stage.table.dtype == kept.dtype and stage.table.shape == kept.shape
-            assert np.array_equal(stage.table, kept)
+        if not isinstance(stage.source, Expr):
+            assert stage.source.dtype == kept.dtype and stage.source.shape == kept.shape
+            assert np.array_equal(stage.source, kept)
 
 
 @pytest.mark.parametrize("slab", [1, 16, 256, solver._SLAB_ENTRIES])
@@ -746,7 +746,7 @@ def test_eliminate_expr_matches_dense_stages(monkeypatch, slab):
                 if not n:
                     continue
                 # A table of one slab or less is kept as a dense stage.
-                assert isinstance(fast.stages[0], CubeStage) == (
+                assert isinstance(fast.stages[0].source, Expr) == (
                     policy == "minterm" and 1 << n > slab)
                 for _ in range(3):
                     values = {i: rng.getrandbits(algebra.atom_count)
@@ -789,7 +789,7 @@ def test_slab_loop_writes_parts_without_a_prefix_variable_once(monkeypatch):
         expr = Sum((cube(algebra.one, ((1, 1), (6, 0))), *parts))
         calls.clear()
         trace = eliminate_expr(expr, n, algebra, split)
-        assert isinstance(trace.stages[0], CubeStage)
+        assert isinstance(trace.stages[0].source, Expr)
         assert [sum(part in e.parts for e in calls)
                 for part in parts] == [1, 1, 2, 4, 8, 16]
         dense = eliminate_blocks(BoolFunction.from_expr(expr, n, algebra), split)
@@ -835,7 +835,7 @@ def test_slab_loop_strided_writes(monkeypatch):
                 cube(a1, ((1, 1), (3, 0), (5, 0))), cube(one, ((4, 1), (6, 1))))
     split = consecutive_split(10, 4)
     trace = eliminate_expr(expr, 10, B2, split)
-    assert isinstance(trace.stages[0], CubeStage)
+    assert isinstance(trace.stages[0].source, Expr)
     assert len(writes) == 15
     dense = eliminate_blocks(BoolFunction.from_expr(expr, 10, B2), split)
     assert render_trace(trace) == render_trace(dense)
@@ -978,9 +978,9 @@ def test_narrow_rows_fold_on_words(monkeypatch, slab):
                 for mine, theirs in zip(got.stages, want.stages, strict=True):
                     assert np.array_equal(mine.eliminant.table, theirs.eliminant.table)
                     assert mine.zero_coefficients == theirs.zero_coefficients
-                if got.stages and not isinstance(got.stages[0], CubeStage):
-                    assert got.stages[0].table.shape == want.stages[0].table.shape
-                    assert np.array_equal(got.stages[0].table, want.stages[0].table)
+                if got.stages and not isinstance(got.stages[0].source, Expr):
+                    assert got.stages[0].source.shape == want.stages[0].source.shape
+                    assert np.array_equal(got.stages[0].source, want.stages[0].source)
                 assert got.final == want.final
                 if want.consistent:
                     consistent += 1
@@ -999,7 +999,7 @@ def test_stage_table_rows_follow_the_member_order():
         phi = from_blocks(B2, 2, [{j} for j in order])
         stage = solver._stage(f, range(3), (0, 1), phi, False)
         rows = f.table.reshape(4, 2)
-        assert np.array_equal(stage.table, rows[order])
+        assert np.array_equal(stage.source, rows[order])
         assert np.array_equal(stage.eliminant.table, np.bitwise_and.reduce(rows, axis=0))
 
 
@@ -1019,7 +1019,7 @@ def test_ladder_slab_loop_builds_no_full_table():
     assert dense.consistent and trace.final == dense.final
     for got, want in zip(trace.stages, dense.stages, strict=True):
         assert (got.block, got.remaining, got.phi) == (want.block, want.remaining, want.phi)
-        assert np.array_equal(got.table, want.table)
+        assert np.array_equal(got.source, want.source)
         assert np.array_equal(got.eliminant.table, want.eliminant.table)
     assert render_trace(trace) == render_trace(dense)
     assert extract_solution(trace) == extract_solution(dense)
